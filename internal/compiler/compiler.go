@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,7 +81,8 @@ func (t Toolchain) String() string {
 	return fmt.Sprintf("%s@%s", t.Name, t.Version)
 }
 
-// Registry holds the known toolchains.
+// Registry holds the known toolchains, kept sorted by name, then
+// descending version.
 type Registry struct {
 	mu         sync.RWMutex
 	toolchains []Toolchain
@@ -93,35 +95,31 @@ func NewRegistry() *Registry { return &Registry{} }
 func (r *Registry) Add(t Toolchain) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, existing := range r.toolchains {
-		if existing.Name == t.Name && existing.Version.Equal(t.Version) {
-			r.toolchains[i] = t
-			return
-		}
+	i := sort.Search(len(r.toolchains), func(i int) bool {
+		u := r.toolchains[i]
+		return u.Name > t.Name || u.Name == t.Name && u.Version.Compare(t.Version) <= 0
+	})
+	if i < len(r.toolchains) && r.toolchains[i].Name == t.Name && r.toolchains[i].Version.Equal(t.Version) {
+		r.toolchains[i] = t
+		return
 	}
-	r.toolchains = append(r.toolchains, t)
+	r.toolchains = slices.Insert(r.toolchains, i, t)
 }
 
 // All returns the toolchains sorted by name, then descending version.
 func (r *Registry) All() []Toolchain {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Toolchain, len(r.toolchains))
-	copy(out, r.toolchains)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version.Compare(out[j].Version) > 0
-	})
-	return out
+	return slices.Clone(r.toolchains)
 }
 
 // Find returns the toolchains satisfying a compiler constraint (and target
 // arch, when nonempty), newest first. A zero constraint matches everything.
 func (r *Registry) Find(c spec.Compiler, arch string) []Toolchain {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []Toolchain
-	for _, t := range r.All() {
+	for _, t := range r.toolchains {
 		if c.Name != "" && t.Name != c.Name {
 			continue
 		}

@@ -238,33 +238,20 @@ func (r *resolver) dagProviderFor(index map[string]*spec.Spec, dep *spec.Spec) (
 	if !r.c.Path.IsVirtual(dep.Name) {
 		return nil, false, nil
 	}
-	names := make([]string, 0, len(index))
-	for name := range index {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	sawProvider := false
-	for _, name := range names {
-		n := index[name]
-		def, _, ok := r.c.Path.Get(n.Name)
+	for _, pr := range r.c.Path.Providers(dep.Name) {
+		n, ok := index[pr.Package.Name]
 		if !ok {
 			continue
 		}
-		providesName := false
-		for _, pr := range def.Provides {
-			if pr.Virtual.Name != dep.Name {
-				continue
-			}
-			providesName = true
-			if !pr.Virtual.Compatible(dep) {
-				continue
-			}
-			if pr.When != nil && !n.Compatible(pr.When) {
-				continue
-			}
-			return n, true, nil
+		sawProvider = true
+		if !pr.Virtual.Compatible(dep) {
+			continue
 		}
-		sawProvider = sawProvider || providesName
+		if pr.When != nil && !n.Compatible(pr.When) {
+			continue
+		}
+		return n, true, nil
 	}
 	if sawProvider {
 		return nil, false, &NoProviderError{
@@ -330,17 +317,14 @@ func (r *resolver) providerFact(virtual, provider string) solve.Provider {
 func (r *resolver) chooseProvider(root, vnode *spec.Spec) (*spec.Spec, error) {
 	// 1. A DAG node that provides the interface wins outright.
 	var inDAG *spec.Spec
+	provs := r.c.Path.Providers(vnode.Name)
 	root.Traverse(func(n *spec.Spec) bool {
 		if n == vnode {
 			return true
 		}
-		def, _, ok := r.c.Path.Get(n.Name)
-		if !ok || !def.ProvidesVirtualName(vnode.Name) {
-			return true
-		}
 		// Check interface-version compatibility for some provides entry.
-		for _, pr := range def.Provides {
-			if pr.Virtual.Name == vnode.Name && pr.Virtual.Compatible(vnode) {
+		for _, pr := range provs {
+			if pr.Package.Name == n.Name && pr.Virtual.Compatible(vnode) {
 				inDAG = n
 				return false
 			}

@@ -404,19 +404,6 @@ func (p *Package) DependenciesFor(s *spec.Spec) []Dependency {
 	return out
 }
 
-// ProvidesFor returns the virtual specs this package provides under
-// configuration s (evaluating provides-when conditions, §3.3).
-func (p *Package) ProvidesFor(s *spec.Spec) []*spec.Spec {
-	var out []*spec.Spec
-	for _, pr := range p.Provides {
-		if pr.When != nil && !s.Satisfies(pr.When) {
-			continue
-		}
-		out = append(out, pr.Virtual.Clone())
-	}
-	return out
-}
-
 // ProvidesVirtualName reports whether the package has any provides directive
 // for the named virtual, regardless of conditions.
 func (p *Package) ProvidesVirtualName(virtual string) bool {

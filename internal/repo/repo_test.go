@@ -51,14 +51,13 @@ func TestPathPrecedence(t *testing.T) {
 	site := NewRepo("llnl.site")
 	site.MustAdd(pkg.New("zlib").Describe("site zlib").WithVersion("1.2.8-llnl", "y"))
 
-	path := NewPath(builtin)
-	p, ns, ok := path.Get("zlib")
+	p, ns, ok := NewPath(builtin).Get("zlib")
 	if !ok || ns != "builtin" || p.Description != "builtin zlib" {
 		t.Fatalf("builtin lookup = %v %q %v", p, ns, ok)
 	}
 
-	// Site repo prepended overrides builtin (§4.3.2).
-	path.Prepend(site)
+	// A site repo ahead of builtin overrides it (§4.3.2).
+	path := NewPath(site, builtin)
 	p, ns, ok = path.Get("zlib")
 	if !ok || ns != "llnl.site" || p.Description != "site zlib" {
 		t.Errorf("site override failed: %v %q", p.Description, ns)

@@ -395,12 +395,6 @@ func (c *Client) Concretize(expr string) (*ConcretizeResponse, error) {
 	return c.ConcretizeWith(ConcretizeRequest{Spec: expr})
 }
 
-// ConcretizeReuse resolves an expression against what already exists on
-// the daemon (server store + mirror buildcache).
-func (c *Client) ConcretizeReuse(expr string) (*ConcretizeResponse, error) {
-	return c.ConcretizeWith(ConcretizeRequest{Spec: expr, Reuse: true})
-}
-
 // ConcretizeWith resolves a fully specified concretize request.
 func (c *Client) ConcretizeWith(req ConcretizeRequest) (*ConcretizeResponse, error) {
 	var out ConcretizeResponse

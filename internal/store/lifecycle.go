@@ -60,8 +60,8 @@ func (st *Store) Pinned() map[string]bool {
 }
 
 // Quiesce runs fn while holding the lifecycle lock exclusively: every
-// install and uninstall transaction holds it shared for its whole
-// duration, so inside fn no mutation overlaps — the garbage collector's
+// install and uninstall transaction holds it for its whole duration, so
+// inside fn no mutation overlaps — the garbage collector's
 // window for computing a live set and staging deletions against a store
 // that cannot shift underneath it. In-flight installs finish before fn
 // starts; new ones wait until it returns.
@@ -74,7 +74,7 @@ func (st *Store) Quiesce(fn func() error) error {
 // ForgetTxn stages the removal of one installed record — index record
 // plus prefix tree (externals keep their site-owned prefix) — into a
 // caller-owned transaction, exactly like UninstallTxn but without
-// dependent checks or the shared lifecycle lock: it exists for the
+// dependent checks or the lifecycle lock: it exists for the
 // garbage collector, which holds the lock exclusively (via Quiesce) and
 // has already established that nothing live references the record.
 // The record leaves the in-memory index immediately; a rollback hook

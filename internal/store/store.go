@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/flight"
 	"repro/internal/simfs"
 	"repro/internal/spec"
 	"repro/internal/syntax"
@@ -198,14 +199,6 @@ type Querier interface {
 	Len() int
 }
 
-// flight tracks one in-progress Install of a hash, so concurrent installs
-// of the same spec run the builder once and share the outcome.
-type flight struct {
-	done chan struct{}
-	rec  *Record
-	err  error
-}
-
 // Store is the installation database plus the on-(simulated-)disk tree.
 type Store struct {
 	FS     *simfs.FS
@@ -214,13 +207,14 @@ type Store struct {
 
 	index Index
 
-	flightMu sync.Mutex
-	flights  map[string]*flight // hash -> in-progress install
+	// flights coalesces concurrent installs of one hash, so the builder
+	// runs once and every caller shares the outcome.
+	flights flight.Group[*Record]
 
-	// gcMu is the lifecycle lock: install and uninstall transactions hold
-	// it shared, a garbage-collection sweep (Quiesce) holds it exclusively
-	// so its live-set computation and staged deletions never interleave
-	// with a mutation.
+	// gcMu is the lifecycle lock: install transactions hold it shared;
+	// uninstalls and garbage-collection sweeps (Quiesce) hold it
+	// exclusively, so a removal — or a sweep's live-set computation and
+	// staged deletions — never interleaves with another mutation.
 	gcMu sync.RWMutex
 	// pins keeps in-progress build DAGs out of the collectable set; see
 	// Pin. Guarded by pinMu, not gcMu — pinning must not block on a sweep.
@@ -239,7 +233,7 @@ func WithIndex(ix Index) Option { return func(st *Store) { st.index = ix } }
 // New creates a store rooted at root (e.g. "/spack/opt") on a filesystem.
 func New(fs *simfs.FS, root string, layout Layout, opts ...Option) (*Store, error) {
 	st := &Store{FS: fs, Root: strings.TrimSuffix(root, "/"), Layout: layout,
-		flights: make(map[string]*flight), pins: make(map[string]int)}
+		pins: make(map[string]int)}
 	for _, fn := range opts {
 		fn(st)
 	}

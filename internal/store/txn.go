@@ -103,31 +103,21 @@ func (st *Store) InstallMetaTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, b
 	st.gcMu.RLock()
 	defer st.gcMu.RUnlock()
 
-	st.flightMu.Lock()
-	if f, ok := st.flights[hash]; ok {
-		// Another goroutine is already building this configuration: wait
-		// for it and share the result.
-		st.flightMu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		if meta.Explicit {
-			st.index.Promote(hash)
-		}
-		return f.rec, false, nil
+	// A caller arriving while another goroutine builds this configuration
+	// waits for it and shares the result.
+	ran := false
+	rec, shared, err := st.flights.Do(hash, func() (*Record, error) {
+		r, leaderRan, err := st.installLeader(t, s, hash, meta, builder)
+		ran = leaderRan
+		return r, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	f := &flight{done: make(chan struct{})}
-	st.flights[hash] = f
-	st.flightMu.Unlock()
-
-	rec, ran, err := st.installLeader(t, s, hash, meta, builder)
-	f.rec, f.err = rec, err
-	st.flightMu.Lock()
-	delete(st.flights, hash)
-	st.flightMu.Unlock()
-	close(f.done)
-	return rec, ran, err
+	if shared && meta.Explicit {
+		st.index.Promote(hash)
+	}
+	return rec, ran, nil
 }
 
 // installLeader performs the actual build + record staging for the single
@@ -221,9 +211,13 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 // The record leaves the in-memory index immediately so later dependent
 // checks and view computation in the same transaction see the post-state;
 // a rollback hook restores it.
+//
+// It holds the lifecycle lock exclusively: an install of the same hash
+// that overlapped it could miss the departing record and build into the
+// prefix this removal deletes.
 func (st *Store) UninstallTxn(t *txn.Txn, s *spec.Spec, force bool) error {
-	st.gcMu.RLock()
-	defer st.gcMu.RUnlock()
+	st.gcMu.Lock()
+	defer st.gcMu.Unlock()
 	hash := s.FullHash()
 	r, ok := st.index.Lookup(hash)
 	if !ok {
