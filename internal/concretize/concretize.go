@@ -2,27 +2,27 @@
 // Fig. 6): translating an abstract, partially constrained spec into a fully
 // concrete build specification.
 //
-// Since the v2 refactor the package is a layered pipeline behind the
-// Concretize/ConcretizeCached seam:
+// Behind the Concretize/ConcretizeCached seam, a solve is the greedy
+// algorithm and nothing more:
 //
-//	reify  (reify.go)  — walk repo directives + config + the abstract spec
-//	                     into typed fact domains (solve.Problem) and reuse
-//	                     pins from the attached ReuseSource;
-//	solve  (solve/)    — optimizing backtracking with unit propagation over
-//	                     those domains, lexicographic criteria: satisfy >
-//	                     reuse installed/cached hashes > newest versions >
-//	                     preferred providers > fewest rebuilds;
-//	engine (engine.go) — the propagation oracle the solver evaluates: the
-//	                     incremental fixed-point cycle of Fig. 6;
-//	decode (decode.go) — validate the chosen model into the exact-edge
-//	                     concrete spec.Spec the rest of the system consumes.
+//	checkNames (reify.go)  — every named node of the input must be a
+//	                         package or a virtual interface;
+//	engine     (engine.go) — one run of the incremental fixed-point cycle of
+//	                         Fig. 6 with nothing forced, retracting reuse
+//	                         pins from the attached ReuseSource on conflict;
+//	decode     (decode.go) — validate the model into the exact-edge concrete
+//	                         spec.Spec the rest of the system consumes.
 //
-// The default mode evaluates only the criteria-optimal leaf, which is the
-// paper's greedy algorithm: it never revisits a policy choice, and raises a
-// conflict error the user must resolve by being more explicit (§3.4, §4.5).
-// The Backtracking field enables the full search. On UNSAT, unsat.go shrinks
-// the user's input constraints to a minimal core and renders a "why not"
-// chain (see UnsatError).
+// The greedy pass never revisits a policy choice, and raises a conflict
+// error the user must resolve by being more explicit (§3.4, §4.5). The
+// Backtracking field enables the provider search the paper defers to
+// future work: only when the greedy pass conflicts does reify (reify.go)
+// build the reachable virtuals' criteria-ranked provider domains, and
+// solve/ searches forced assignments over the engine under lexicographic
+// criteria: satisfy > reuse installed/cached hashes > newest versions >
+// preferred providers > fewest rebuilds. On UNSAT, unsat.go shrinks the
+// user's input constraints to a minimal core and renders a "why not" chain
+// (see UnsatError).
 package concretize
 
 import (
@@ -51,10 +51,6 @@ type Concretizer struct {
 	// work (§4.5): when the greedy pass hits a conflict, alternative
 	// virtual-provider assignments are explored depth-first.
 	Backtracking bool
-
-	// MaxIters bounds the fixed-point loop (safety net; realistic DAGs
-	// converge in a handful of rounds).
-	MaxIters int
 
 	// Cache, when non-nil, memoizes Concretize results keyed by the
 	// abstract spec plus repository/configuration/compiler fingerprints
@@ -129,7 +125,7 @@ func (s *Stats) ReusedNodes() int { return int(s.reusedNodes.Load()) }
 
 // New returns a Concretizer with defaults.
 func New(path *repo.Path, cfg *config.Config, reg *compiler.Registry) *Concretizer {
-	return &Concretizer{Path: path, Config: cfg, Registry: reg, MaxIters: 64}
+	return &Concretizer{Path: path, Config: cfg, Registry: reg}
 }
 
 // Error wraps a concretization failure with the offending spec.
@@ -269,11 +265,14 @@ func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, e
 	return out, false, nil
 }
 
-// concretizeUncached is the full pipeline behind Concretize: reify the
-// problem, search it, account for reuse, and on UNSAT attach the minimal
-// core explanation.
+// concretizeUncached is the full pipeline behind Concretize: solve the
+// input, account for reuse, and on UNSAT attach the minimal core
+// explanation. Only the backtracking search keeps an implication trail.
 func (c *Concretizer) concretizeUncached(abstract *spec.Spec, snap *reuseSnapshot) (*spec.Spec, error) {
-	trail := solve.NewTrail()
+	var trail *solve.Trail
+	if c.Backtracking {
+		trail = solve.NewTrail()
+	}
 	out, err := c.solveAbstract(abstract, snap, trail)
 	if err != nil {
 		return nil, c.explainUnsat(abstract, err, trail)
@@ -288,41 +287,33 @@ func (c *Concretizer) concretizeUncached(abstract *spec.Spec, snap *reuseSnapsho
 	return out, nil
 }
 
-// solveAbstract runs reify → solve without unsat-core post-processing; the
-// unsat-core minimizer itself probes through this entry point to test
-// whether a weakened input is satisfiable.
+// solveAbstract is the greedy algorithm — validate names, then one engine
+// run with nothing forced — plus, when that run conflicts and Backtracking
+// is set, the provider search over freshly reified virtual domains. It
+// does no unsat-core post-processing; the unsat-core minimizer itself
+// probes through this entry point to test whether a weakened input is
+// satisfiable.
 func (c *Concretizer) solveAbstract(abstract *spec.Spec, snap *reuseSnapshot, trail *solve.Trail) (*spec.Spec, error) {
-	prob, err := c.reify(abstract, snap, trail)
-	if err != nil {
+	if err := c.checkNames(abstract); err != nil {
 		return nil, err
 	}
 	var pins map[string]*spec.Spec
 	if snap != nil {
 		pins = snap.pins
 	}
-	s := &solve.Solver{
-		Problem: prob,
-		Eval:    &oracle{c: c, abstract: abstract, pins: pins},
-		Trail:   trail,
-		Branch:  c.Backtracking,
-		OnAttempt: func() {
-			c.Stats.backtracks.Add(1)
-		},
+	out, err := c.evalOnce(abstract, nil, pins)
+	if err == nil || !c.Backtracking {
+		return out, err
 	}
-	return s.Search()
-}
-
-// oracle adapts the propagation engine to the solver core's Evaluator
-// interface: one Try is one full fixed-point run under a forced
-// virtual-provider assignment, with reuse-pin retraction on conflict.
-type oracle struct {
-	c        *Concretizer
-	abstract *spec.Spec
-	pins     map[string]*spec.Spec
-}
-
-func (o *oracle) Try(forced map[string]string) (*spec.Spec, error) {
-	return o.c.evalOnce(o.abstract, forced, o.pins)
+	s := &solve.Solver{
+		Problem: c.reify(abstract, pins),
+		Eval: func(forced map[string]string) (*spec.Spec, error) {
+			c.Stats.backtracks.Add(1)
+			return c.evalOnce(abstract, forced, pins)
+		},
+		Trail: trail,
+	}
+	return s.Search(err)
 }
 
 // evalOnce runs the propagation engine, retracting reuse pins that cause

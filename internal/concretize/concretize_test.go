@@ -550,8 +550,10 @@ func TestBacktrackingFindsSolution(t *testing.T) {
 	if s.Dep("bbbnet") == nil {
 		t.Errorf("backtracking should select bbbnet:\n%s", s.TreeString())
 	}
-	if c.Stats.Backtracks() == 0 {
-		t.Error("no backtracks recorded")
+	// One engine run per forced provider (aaanet, then bbbnet); the
+	// all-unforced leaf the greedy pass already tried is not re-run.
+	if got := c.Stats.Backtracks(); got != 2 {
+		t.Errorf("backtracks = %d, want 2", got)
 	}
 }
 
@@ -646,6 +648,24 @@ func TestUnknownPackageSuggestions(t *testing.T) {
 	_, err = c.Concretize(syntax.MustParse("qqqqqqqqqqqqqqqqq"))
 	if errors.As(err, &up) && len(up.Suggestions) != 0 {
 		t.Errorf("unexpected suggestions: %v", up.Suggestions)
+	}
+}
+
+// TestUnknownPackageDependency: name validation covers every node of the
+// input, not just the root — a misspelled dependency fails before the
+// engine runs, naming that dependency, with suggestions.
+func TestUnknownPackageDependency(t *testing.T) {
+	c := testEnv()
+	_, err := c.Concretize(syntax.MustParse("mpileaks ^libdwraf"))
+	var up *UnknownPackageError
+	if !errors.As(err, &up) || up.Name != "libdwraf" {
+		t.Fatalf("want UnknownPackageError for libdwraf, got %v", err)
+	}
+	if len(up.Suggestions) == 0 || up.Suggestions[0] != "libdwarf" {
+		t.Errorf("suggestions = %v", up.Suggestions)
+	}
+	if c.Stats.Iterations() != 0 {
+		t.Errorf("engine ran %d fixed-point rounds on an invalid name", c.Stats.Iterations())
 	}
 }
 

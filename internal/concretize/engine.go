@@ -12,6 +12,10 @@ import (
 	"repro/internal/version"
 )
 
+// maxIters bounds the fixed-point loop (safety net; realistic DAGs converge
+// in a handful of rounds).
+const maxIters = 64
+
 // resolver is one propagation run: the engine layer of the v2 pipeline.
 // It owns all per-run state (the forced provider assignment from the
 // solver's search, the active reuse pins, and the pin-application record),
@@ -44,9 +48,9 @@ func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 	root := abstract.Clone()
 	var dirty map[string]bool // nil = full pass over every node
 	for iter := 0; ; iter++ {
-		if iter >= r.c.MaxIters {
+		if iter >= maxIters {
 			return nil, &Error{Spec: abstract.String(),
-				Err: fmt.Errorf("no fixed point after %d iterations", r.c.MaxIters)}
+				Err: fmt.Errorf("no fixed point after %d iterations", maxIters)}
 		}
 		r.c.Stats.iterations.Add(1)
 		touched := make(map[string]bool) // nodes whose state changed this pass
@@ -299,14 +303,14 @@ func (r *resolver) findVirtualNode(root *spec.Spec) *spec.Spec {
 }
 
 // providerFact reifies one candidate into the solver's ranking attributes:
-// configured policy rank, and whether the provider package appears in the
-// reuse candidate set (installed or cached), which outranks policy under
-// the criteria.
-func (r *resolver) providerFact(virtual, provider string) solve.Provider {
-	_, reused := r.pins[provider]
+// configured policy rank, and whether the provider package has a reuse pin
+// (installed or cached), which outranks policy under the criteria. The
+// engine's greedy choice and the search's domains both rank through it.
+func (c *Concretizer) providerFact(pins map[string]*spec.Spec, virtual, provider string) solve.Provider {
+	_, reused := pins[provider]
 	return solve.Provider{
 		Name:   provider,
-		Rank:   r.c.Config.ProviderRank(virtual, provider),
+		Rank:   c.Config.ProviderRank(virtual, provider),
 		Reused: reused,
 	}
 }
@@ -361,8 +365,8 @@ func (r *resolver) chooseProvider(root, vnode *spec.Spec) (*spec.Spec, error) {
 		// Equal names compare 0, preserving ProvidersFor's order within one
 		// package (conditioned entries providing newer interfaces first).
 		return solve.CompareProviders(
-			r.providerFact(vnode.Name, cands[i].Package.Name),
-			r.providerFact(vnode.Name, cands[j].Package.Name)) < 0
+			r.c.providerFact(r.pins, vnode.Name, cands[i].Package.Name),
+			r.c.providerFact(r.pins, vnode.Name, cands[j].Package.Name)) < 0
 	})
 
 	// Greedy: take the first candidate whose when-condition and the

@@ -2,6 +2,7 @@ package solve
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestMinimizeCoreMinimal(t *testing.T) {
 		got[f.ID] = true
 	}
 	if !reflect.DeepEqual(got, map[int]bool{0: true, 2: true}) {
-		t.Errorf("core = %v, want facts 0 and 2", RenderFacts(core))
+		t.Errorf("core = %v, want facts 0 and 2", core)
 	}
 }
 
@@ -151,10 +152,21 @@ func (e *scriptedEval) Try(forced map[string]string) (*spec.Spec, error) {
 	return spec.New("ok"), nil
 }
 
+// search runs the concretizer's protocol against the scripted evaluator:
+// the greedy leaf (nothing forced) first, and the search only after it
+// conflicts.
+func (e *scriptedEval) search(tr *Trail) (*spec.Spec, error) {
+	out, err := e.Try(nil)
+	if err == nil {
+		return out, nil
+	}
+	s := &Solver{Problem: testProblem(), Eval: e.Try, Trail: tr}
+	return s.Search(err)
+}
+
 func testProblem() *Problem {
 	return &Problem{
-		Root:     "root",
-		Packages: map[string]*PackageFacts{"root": {Name: "root", Versions: []string{"1.0"}}},
+		Root: "root",
 		Virtuals: []VirtualFacts{
 			{Name: "mpi", Reachable: true, Providers: []Provider{{Name: "openmpi"}, {Name: "mpich"}}},
 			{Name: "blas", Reachable: false, Providers: []Provider{{Name: "openblas"}}},
@@ -162,35 +174,17 @@ func testProblem() *Problem {
 	}
 }
 
-// TestSearchGreedyFirst: a satisfiable instance costs exactly one oracle
-// call with nothing forced, and no backtrack is counted.
-func TestSearchGreedyFirst(t *testing.T) {
-	eval := &scriptedEval{}
-	backtracks := 0
-	s := &Solver{Problem: testProblem(), Eval: eval, Branch: true, OnAttempt: func() { backtracks++ }}
-	if _, err := s.Search(); err != nil {
-		t.Fatal(err)
-	}
-	if len(eval.calls) != 1 || len(eval.calls[0]) != 0 {
-		t.Errorf("greedy instance made %d calls, first forced %v", len(eval.calls), eval.calls[0])
-	}
-	if backtracks != 0 {
-		t.Errorf("greedy success counted %d backtracks", backtracks)
-	}
-}
-
-// TestSearchBacktracks: when the greedy leaf conflicts, branching explores
-// provider assignments in criteria order and counts attempts past the first.
+// TestSearchBacktracks: after the greedy leaf conflicts, the search
+// explores provider assignments in criteria order.
 func TestSearchBacktracks(t *testing.T) {
 	eval := &scriptedEval{failures: 2}
-	backtracks := 0
 	tr := NewTrail()
-	s := &Solver{Problem: testProblem(), Eval: eval, Trail: tr, Branch: true, OnAttempt: func() { backtracks++ }}
-	if _, err := s.Search(); err != nil {
+	if _, err := eval.search(tr); err != nil {
 		t.Fatal(err)
 	}
-	if backtracks == 0 {
-		t.Error("no backtracks counted after a greedy conflict")
+	want := []map[string]string{{}, {"mpi": "openmpi"}, {"mpi": "mpich"}}
+	if !reflect.DeepEqual(eval.calls, want) {
+		t.Errorf("calls = %v, want %v", eval.calls, want)
 	}
 	// Only the reachable virtual is branched on; the unreachable one never
 	// appears in a forced assignment.
@@ -199,8 +193,30 @@ func TestSearchBacktracks(t *testing.T) {
 			t.Errorf("unreachable virtual was branched on: %v", call)
 		}
 	}
-	if !containsLine(tr.Lines(), "prune: virtual blas unreachable from root") {
-		t.Errorf("trail missing prune line: %v", tr.Lines())
+	lines := tr.Lines()
+	if len(lines) == 0 || lines[0] != "greedy pass conflicts: conflict" {
+		t.Errorf("trail should start at the greedy conflict: %v", lines)
+	}
+	if !containsLine(lines, "prune: virtual blas unreachable from root") {
+		t.Errorf("trail missing prune line: %v", lines)
+	}
+}
+
+// TestSearchNoRepeatedLeaf: no assignment is evaluated twice — in
+// particular the search never re-runs the all-unforced greedy leaf its
+// caller already evaluated.
+func TestSearchNoRepeatedLeaf(t *testing.T) {
+	for failures := 1; failures <= 4; failures++ {
+		eval := &scriptedEval{failures: failures}
+		eval.search(nil)
+		seen := map[string]bool{}
+		for _, call := range eval.calls {
+			key := fmt.Sprint(call)
+			if seen[key] {
+				t.Errorf("failures=%d: assignment %s evaluated twice in %v", failures, key, eval.calls)
+			}
+			seen[key] = true
+		}
 	}
 }
 
@@ -208,25 +224,13 @@ func TestSearchBacktracks(t *testing.T) {
 // first (greedy) conflict is what the caller sees.
 func TestSearchExhaustionReportsGreedyError(t *testing.T) {
 	eval := &scriptedEval{failures: 1 << 10}
-	s := &Solver{Problem: testProblem(), Eval: eval, Branch: true}
-	_, err := s.Search()
+	s := &Solver{Problem: testProblem(), Eval: eval.Try}
+	_, err := s.Search(errors.New("greedy conflict"))
 	if err == nil {
 		t.Fatal("exhausted search should fail")
 	}
-	if err.Error() != "conflict" {
+	if err.Error() != "greedy conflict" {
 		t.Errorf("err = %v, want the greedy conflict", err)
-	}
-}
-
-// TestSearchNoBranch: without Branch only the greedy leaf is tried.
-func TestSearchNoBranch(t *testing.T) {
-	eval := &scriptedEval{failures: 1}
-	s := &Solver{Problem: testProblem(), Eval: eval}
-	if _, err := s.Search(); err == nil {
-		t.Fatal("greedy-only solver should report the first conflict")
-	}
-	if len(eval.calls) != 1 {
-		t.Errorf("greedy-only solver made %d calls", len(eval.calls))
 	}
 }
 

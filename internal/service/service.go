@@ -549,7 +549,6 @@ func (s *Server) newReuseConcretizer() *concretize.Concretizer {
 	}
 	rc := concretize.New(base.Path, base.Config, base.Registry)
 	rc.Backtracking = base.Backtracking
-	rc.MaxIters = base.MaxIters
 	rc.Cache = base.Cache
 	var srcs []concretize.ReuseSource
 	if s.cfg.Builder != nil && s.cfg.Builder.Store != nil {

@@ -17,9 +17,9 @@ import (
 )
 
 // TestFig8SolverParity: across the full 245-package Fig. 8 repository, the
-// solver's first leaf (greedy mode) and the backtracking search produce
-// identical DAG hashes — backtracking only ever widens the search after
-// the criteria-optimal leaf conflicts, which none of these do.
+// greedy mode and the backtracking mode produce identical DAG hashes —
+// backtracking only ever widens the search after the greedy pass
+// conflicts, which none of these do, so it records no backtracks.
 func TestFig8SolverParity(t *testing.T) {
 	path := fig8Path()
 	greedy := concretize.New(path, config.New(), compiler.LLNLRegistry())
@@ -38,10 +38,13 @@ func TestFig8SolverParity(t *testing.T) {
 			t.Errorf("%s: greedy %s != solver %s", name, g.DAGHash(), s.DAGHash())
 		}
 	}
+	if n := solver.Stats.Backtracks(); n != 0 {
+		t.Errorf("backtracking solver recorded %d backtracks, want 0: every greedy pass succeeds", n)
+	}
 }
 
 // TestARESMatrixParity: the 36 nightly ARES configurations of Table 3 stay
-// hash-identical between the two modes.
+// hash-identical between the two modes, with no backtracks.
 func TestARESMatrixParity(t *testing.T) {
 	path := repo.NewPath(ares.Repo(), repo.Builtin())
 	greedy := concretize.New(path, config.New(), compiler.LLNLRegistry())
@@ -62,6 +65,9 @@ func TestARESMatrixParity(t *testing.T) {
 				t.Errorf("%s: greedy %s != solver %s", expr, g.DAGHash(), s.DAGHash())
 			}
 		}
+	}
+	if n := solver.Stats.Backtracks(); n != 0 {
+		t.Errorf("backtracking solver recorded %d backtracks, want 0: every greedy pass succeeds", n)
 	}
 }
 
