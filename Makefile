@@ -43,9 +43,10 @@ bench-concretize:
 		| go run ./cmd/benchjson -o BENCH_concretize.json
 	cat BENCH_concretize.json
 
-# Store contention benchmarks: mutex vs. sharded index under 1/2/4/8
-# concurrent builders (install+save) and readers (lookup), rendered to
-# BENCH_store.json with the derived per-worker-count sharded speedups.
+# Store contention benchmarks: 1/2/4/8 concurrent builders saving the
+# database after every install vs. once at the end, plus concurrent
+# readers (lookup), rendered to BENCH_store.json with the derived
+# save-cost ratio at 8 workers.
 bench-store:
 	go test -run '^$$' -bench 'StoreContention|StoreLookupContention' -benchmem . \
 		| tee bench_store.txt \

@@ -1,21 +1,22 @@
-// Store-sharding benchmarks (run via `make bench-store` → BENCH_store.json):
+// Store benchmarks (run via `make bench-store` → BENCH_store.json):
 //
-//	BenchmarkStoreContention/{mutex,sharded}/wN — N concurrent builders
-//	    each installing distinct specs into one store and persisting the
-//	    database after every install (real Spack's discipline). The
-//	    single-mutex baseline rewrites the whole monolithic index on every
-//	    Save — O(records) spec encodings per install, serialized behind
-//	    one lock — while the sharded index rewrites only the dirty hash-
-//	    prefix shard and stripes all index traffic, so throughput scales
-//	    with worker count instead of collapsing on the global lock.
-//	BenchmarkStoreLookupContention/{mutex,sharded}/wN — the executor-style
-//	    read side: N workers hammering IsInstalled/Lookup on a populated
-//	    store. Sharded reads take per-stripe RLocks and proceed in
-//	    parallel; the mutex baseline serializes every probe.
+//	BenchmarkStoreContention/{save-each,save-once}/wN — N concurrent
+//	    builders each installing distinct specs into one store, probing
+//	    dependencies after every install. save-each persists the database
+//	    after every install (real Spack's discipline for crash recovery);
+//	    save-once runs the same installs and probes and saves once at the
+//	    end. Because Save rewrites only the hash-prefix shards dirtied
+//	    since the last Save, saving after every install costs a bounded
+//	    multiple of saving once, instead of O(records) spec encodings per
+//	    install.
+//	BenchmarkStoreLookupContention/wN — the executor-style read side: N
+//	    workers hammering IsInstalled on a populated store. Context only;
+//	    it carries no bar.
 //
-// cmd/benchjson derives store_sharded_speedup_w{1,2,4,8} (and the lookup
-// equivalents) from the paired results; the acceptance bar is sharded
-// beating mutex at ≥4 workers with ≥2x at 8.
+// cmd/benchjson derives store_save_cost_inv_w8 = allocs/op(save-once/w8)
+// ÷ allocs/op(save-each/w8); the acceptance bar is a 0.5 floor, i.e.
+// saving after every install costs at most 2x the allocations of saving
+// once.
 package repro
 
 import (
@@ -66,31 +67,22 @@ func storeSpecPool(b *testing.B) []*spec.Spec {
 	return storePool
 }
 
-var storeIndexImpls = []struct {
-	name string
-	mk   func() store.Index
-}{
-	{"mutex", func() store.Index { return store.NewMutexIndex() }},
-	{"sharded", func() store.Index { return store.NewShardedIndex() }},
-}
-
 var storeWorkerCounts = []int{1, 2, 4, 8}
 
 // BenchmarkStoreContention is the concurrent-builder workload: workers
 // split the spec pool, and each install is followed by dependency probes
-// and a database Save — the §3.4.2 store under the access pattern the
-// parallel executor produces.
+// and — in save-each — a database Save: the §3.4.2 store under the access
+// pattern the parallel executor produces.
 func BenchmarkStoreContention(b *testing.B) {
 	pool := storeSpecPool(b)
 	payload := []byte("simulated install payload")
-	for _, impl := range storeIndexImpls {
+	for _, mode := range []string{"save-each", "save-once"} {
+		saveEach := mode == "save-each"
 		for _, workers := range storeWorkerCounts {
-			b.Run(fmt.Sprintf("%s/w%d", impl.name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/w%d", mode, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					fs := simfs.New(simfs.TempFS)
-					st, err := store.New(fs, "/spack/opt", store.SpackLayout{},
-						store.WithIndex(impl.mk()))
+					st, err := store.New(simfs.New(simfs.TempFS), "/spack/opt", store.SpackLayout{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -115,11 +107,11 @@ func BenchmarkStoreContention(b *testing.B) {
 								// installed yet?
 								st.IsInstalled(pool[(j*7+1)%len(pool)])
 								st.IsInstalled(pool[(j*13+3)%len(pool)])
-								// Persist after every install, as real
-								// builders must for crash recovery.
-								if err := st.Save(); err != nil {
-									errCh <- err
-									return
+								if saveEach {
+									if err := st.Save(); err != nil {
+										errCh <- err
+										return
+									}
 								}
 							}
 						}()
@@ -128,6 +120,11 @@ func BenchmarkStoreContention(b *testing.B) {
 					close(errCh)
 					for err := range errCh {
 						b.Fatal(err)
+					}
+					if !saveEach {
+						if err := st.Save(); err != nil {
+							b.Fatal(err)
+						}
 					}
 					if st.Len() != len(pool) {
 						b.Fatalf("store holds %d of %d records", st.Len(), len(pool))
@@ -149,42 +146,38 @@ func BenchmarkStoreContention(b *testing.B) {
 func BenchmarkStoreLookupContention(b *testing.B) {
 	pool := storeSpecPool(b)
 	const probesPerWorker = 2048
-	for _, impl := range storeIndexImpls {
-		for _, workers := range storeWorkerCounts {
-			b.Run(fmt.Sprintf("%s/w%d", impl.name, workers), func(b *testing.B) {
-				fs := simfs.New(simfs.TempFS)
-				st, err := store.New(fs, "/spack/opt", store.SpackLayout{},
-					store.WithIndex(impl.mk()))
-				if err != nil {
+	for _, workers := range storeWorkerCounts {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			st, err := store.New(simfs.New(simfs.TempFS), "/spack/opt", store.SpackLayout{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range pool {
+				if _, _, err := st.Install(s, false, func(string) error { return nil }); err != nil {
 					b.Fatal(err)
 				}
-				for _, s := range pool {
-					if _, _, err := st.Install(s, false, func(string) error { return nil }); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						w := w
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for j := 0; j < probesPerWorker; j++ {
-								if !st.IsInstalled(pool[(w+j)%len(pool)]) {
-									b.Error("probe missed an installed spec")
-									return
-								}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := 0; j < probesPerWorker; j++ {
+							if !st.IsInstalled(pool[(w+j)%len(pool)]) {
+								b.Error("probe missed an installed spec")
+								return
 							}
-						}()
-					}
-					wg.Wait()
+						}
+					}()
 				}
-				b.StopTimer()
-				total := float64(workers) * probesPerWorker
-				b.ReportMetric(total*float64(b.N)/b.Elapsed().Seconds(), "lookups/sec")
-			})
-		}
+				wg.Wait()
+			}
+			b.StopTimer()
+			total := float64(workers) * probesPerWorker
+			b.ReportMetric(total*float64(b.N)/b.Elapsed().Seconds(), "lookups/sec")
+		})
 	}
 }

@@ -25,8 +25,9 @@ var bars = []bar{
 	// Concretizer reuse: solving against a fully populated reuse source
 	// costs at most 2x the cold greedy solve (inverted ratio, floor 0.5).
 	{"concretize_reuse_overhead_inv", 0.5},
-	// Sharded store index: ≥2x over the single mutex at 8 workers.
-	{"store_sharded_speedup_w8", 2},
+	// Store: saving after every install costs at most 2x the allocations
+	// of saving once at the end, at 8 workers (inverted ratio, floor 0.5).
+	{"store_save_cost_inv_w8", 0.5},
 	// Binary cache: cached ARES install ≥5x faster (simulated install
 	// time) than building from source at Jobs=8.
 	{"buildcache_speedup_j8", 5},

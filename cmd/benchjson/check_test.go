@@ -26,7 +26,7 @@ func TestCheckReportPassesAtOrAboveBar(t *testing.T) {
 
 func TestCheckReportFailsBelowBar(t *testing.T) {
 	_, fails := checkReport("x.json", report(map[string]float64{
-		"store_sharded_speedup_w8": 1.4,
+		"store_save_cost_inv_w8": 0.12,
 	}))
 	if len(fails) != 1 {
 		t.Fatalf("failures = %v, want 1", fails)
@@ -100,6 +100,24 @@ func TestDeriveBuildcacheSpeedup(t *testing.T) {
 	}
 	if got := d["buildcache_real_speedup_j8"]; got != 1.25 {
 		t.Errorf("buildcache_real_speedup_j8 = %v, want 1.25", got)
+	}
+}
+
+func TestDeriveStoreSaveCost(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "BenchmarkStoreContention/save-each/w8",
+			Metrics: map[string]float64{"ns/op": 9e6, "allocs/op": 40000}},
+		{Name: "BenchmarkStoreContention/save-once/w8",
+			Metrics: map[string]float64{"ns/op": 3e6, "allocs/op": 32000}},
+		{Name: "BenchmarkStoreLookupContention/w8",
+			Metrics: map[string]float64{"ns/op": 1e6, "allocs/op": 16}},
+	}
+	d := derive(benches)
+	if got := d["store_save_cost_inv_w8"]; got != 0.8 {
+		t.Errorf("store_save_cost_inv_w8 = %v, want 0.8", got)
+	}
+	if len(d) != 1 {
+		t.Errorf("derived = %v, want only store_save_cost_inv_w8", d)
 	}
 }
 

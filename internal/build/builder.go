@@ -320,7 +320,7 @@ func (b *Builder) buildOne(n *spec.Spec, explicit bool, t *txn.Txn) (*Report, er
 
 	// Externals are recorded with their site-configured path, never built.
 	if n.External {
-		rec, _, err := b.Store.InstallTxn(t, n, explicit, store.OriginExternal, func(string) error { return nil })
+		rec, _, err := b.Store.InstallTxn(t, n, txn.RecordMeta{Explicit: explicit, Origin: store.OriginExternal}, func(string) error { return nil })
 		if err != nil {
 			return nil, &Error{Pkg: n.Name, Phase: "install", Err: err}
 		}
@@ -398,7 +398,7 @@ func (b *Builder) buildOne(n *spec.Spec, explicit bool, t *txn.Txn) (*Report, er
 	ctx.setupEnvironment()
 
 	installFn := def.InstallFor(n)
-	rec, ran, err := b.Store.InstallTxn(t, n, explicit, store.OriginSource, func(prefix string) error {
+	rec, ran, err := b.Store.InstallTxn(t, n, txn.RecordMeta{Explicit: explicit, Origin: store.OriginSource}, func(prefix string) error {
 		ctx.prefix = prefix
 		for _, pa := range def.PatchesFor(n) {
 			if perr := ctx.ApplyPatch(pa.Name); perr != nil {

@@ -440,7 +440,7 @@ func (c *Cache) PushDAG(st *store.Store, root *spec.Spec) ([]*Entry, error) {
 // the archive checksum, rewrites every occurrence of the source store
 // root and dependency prefixes (and with them the embedded rpaths) for
 // the target store through the shared relocate engine, and installs
-// through store.InstallFrom — the same singleflight, promotion, and
+// through store.InstallTxn — the same singleflight, promotion, and
 // provenance discipline as a source build. Files land via temp + rename,
 // so an I/O failure mid-unpack leaves the partially written prefix to be
 // rolled back by the store and the index untouched. The spec's
@@ -563,7 +563,7 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 	opts.Meter = meter
 	prefixFS := st.FS.WithMeter(meter)
 	files := 0
-	rec, ran, err := st.InstallMetaTxn(t, s, meta, func(prefix string) error {
+	rec, ran, err := st.InstallTxn(t, s, meta, func(prefix string) error {
 		n, err := relocate.Materialize(prefixFS, prefix, relFiles, opts)
 		files = n
 		if err != nil {

@@ -87,9 +87,8 @@ func WithoutWrappers() Option { return func(o *options) { o.noWrappers = true } 
 // WithLayout selects a store directory layout (Table 1 conventions).
 func WithLayout(l store.Layout) Option { return func(o *options) { o.storeLayout = l } }
 
-// WithStoreIndex selects the store's index implementation (default: the
-// lock-striped sharded index; store.NewMutexIndex() restores the
-// single-mutex baseline, e.g. for contention comparisons).
+// WithStoreIndex supplies the store's index (default: a fresh
+// store.ShardedIndex). Tracing wraps one to observe index traffic.
 func WithStoreIndex(ix store.Index) Option { return func(o *options) { o.storeIndex = ix } }
 
 // WithJobs sets build parallelism.

@@ -246,7 +246,7 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 			Lineage:     append(append([]string{}, oldRec.Lineage...), ch.OldHash),
 		}
 		fromArchive := false
-		rec, ran, err := st.InstallMetaTxn(t, newNode, meta, func(prefix string) error {
+		rec, ran, err := st.InstallTxn(t, newNode, meta, func(prefix string) error {
 			files, opts, usedArchive, warn := sp.payload(&ch, newByName, localPairs)
 			if warn != "" {
 				res.Warnings = append(res.Warnings, warn)

@@ -1,9 +1,6 @@
 package store
 
 import (
-	"sort"
-	"sync"
-
 	"repro/internal/simfs"
 	"repro/internal/spec"
 )
@@ -26,11 +23,11 @@ type Entry struct {
 }
 
 // Index is the seam between the store and its installation database: a
-// map from full DAG hash to record. Implementations must be safe for
-// concurrent use; Snapshot and Select copy the mutable record fields (or
-// hand out records only for reading) under their own locking so callers
-// never race with Promote. Persistence is part of the seam so layouts can
-// differ per implementation (monolithic vs. per-shard files).
+// map from full DAG hash to record. ShardedIndex is the one
+// implementation; the interface exists so instrumentation can wrap it.
+// Implementations must be safe for concurrent use; Snapshot and Select
+// copy the mutable record fields (or hand out records only for reading)
+// under their own locking so callers never race with Promote.
 type Index interface {
 	// Lookup returns the record for a DAG hash.
 	Lookup(hash string) (*Record, bool)
@@ -71,155 +68,4 @@ type Index interface {
 	// Load replaces the contents from dbDir, returning ErrNoDatabase
 	// when nothing has been saved there yet.
 	Load(fs *simfs.FS, dbDir string) error
-}
-
-// MutexIndex is the historical baseline: one map, one mutex, one
-// monolithic index.json. It remains as the contention baseline for the
-// store benchmarks and as the reader/writer of the legacy on-disk layout.
-type MutexIndex struct {
-	mu       sync.Mutex
-	records  map[string]*Record
-	gen      uint64 // bumped on every mutation
-	savedGen uint64 // gen at the last successful Save
-}
-
-// NewMutexIndex returns an empty single-lock index.
-func NewMutexIndex() *MutexIndex {
-	return &MutexIndex{records: make(map[string]*Record)}
-}
-
-func (ix *MutexIndex) Lookup(hash string) (*Record, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	r, ok := ix.records[hash]
-	return r, ok
-}
-
-func (ix *MutexIndex) Insert(hash string, r *Record) (*Record, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if existing, ok := ix.records[hash]; ok {
-		return existing, false
-	}
-	ix.records[hash] = r
-	ix.gen++
-	return r, true
-}
-
-func (ix *MutexIndex) Promote(hash string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	r, ok := ix.records[hash]
-	if !ok {
-		return false
-	}
-	if !r.Explicit {
-		r.Explicit = true
-		ix.gen++
-	}
-	return true
-}
-
-func (ix *MutexIndex) Demote(hash string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	r, ok := ix.records[hash]
-	if !ok {
-		return false
-	}
-	if r.Explicit {
-		r.Explicit = false
-		ix.gen++
-	}
-	return true
-}
-
-func (ix *MutexIndex) Remove(hash string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.records[hash]; ok {
-		delete(ix.records, hash)
-		ix.gen++
-	}
-}
-
-func (ix *MutexIndex) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.records)
-}
-
-func (ix *MutexIndex) Generation() uint64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.gen
-}
-
-func (ix *MutexIndex) Select(filter func(*Record) bool) []*Record {
-	ix.mu.Lock()
-	out := make([]*Record, 0, len(ix.records))
-	for _, r := range ix.records {
-		if filter == nil || filter(r) {
-			out = append(out, r)
-		}
-	}
-	ix.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
-	return out
-}
-
-func (ix *MutexIndex) Snapshot() []Entry {
-	ix.mu.Lock()
-	out := make([]Entry, 0, len(ix.records))
-	for h, r := range ix.records {
-		out = append(out, Entry{Hash: h, Spec: r.Spec, Prefix: r.Prefix, Explicit: r.Explicit,
-			Origin: r.Origin, SplicedFrom: r.SplicedFrom, Lineage: r.Lineage})
-	}
-	ix.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
-	return out
-}
-
-func (ix *MutexIndex) Replace(records map[string]*Record) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.records = records
-	ix.gen++
-}
-
-// Save writes the whole index to the legacy monolithic index.json
-// atomically. Clean state (no mutations since the last Save) is skipped.
-func (ix *MutexIndex) Save(fs *simfs.FS, dbDir string) error {
-	ix.mu.Lock()
-	gen := ix.gen
-	clean := gen == ix.savedGen
-	ix.mu.Unlock()
-	if clean {
-		return nil
-	}
-	data, err := encodeEntries(ix.Snapshot())
-	if err != nil {
-		return err
-	}
-	if err := fs.MkdirAll(dbDir); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(fs, dbDir+"/"+legacyIndexFile, data); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	ix.savedGen = gen
-	ix.mu.Unlock()
-	return nil
-}
-
-// Load reads either layout: the legacy monolithic file, or — so a site can
-// switch back after trying the sharded index — a sharded manifest.
-func (ix *MutexIndex) Load(fs *simfs.FS, dbDir string) error {
-	records, err := loadAnyLayout(fs, dbDir)
-	if err != nil {
-		return err
-	}
-	ix.Replace(records)
-	return nil
 }

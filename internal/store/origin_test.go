@@ -2,6 +2,8 @@ package store
 
 import (
 	"testing"
+
+	"repro/internal/txn"
 )
 
 func TestInstallOriginDefaults(t *testing.T) {
@@ -16,12 +18,12 @@ func TestInstallOriginDefaults(t *testing.T) {
 	}
 
 	b := mustConcrete(t, "zlib")
-	recB, _, err := st.InstallFrom(b, false, OriginBinary, noopBuilder)
+	recB, _, err := st.InstallTxn(nil, b, txn.RecordMeta{Origin: OriginBinary}, noopBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recB.Origin != OriginBinary {
-		t.Errorf("InstallFrom origin = %q, want %q", recB.Origin, OriginBinary)
+		t.Errorf("InstallTxn origin = %q, want %q", recB.Origin, OriginBinary)
 	}
 }
 
@@ -32,7 +34,7 @@ func TestExternalOriginOverrides(t *testing.T) {
 	s.Path = "/opt/mpich-3.0.4"
 	// Even a caller claiming a binary origin gets the external label:
 	// site-owned prefixes are never ours.
-	rec, _, err := st.InstallFrom(s, true, OriginBinary, noopBuilder)
+	rec, _, err := st.InstallTxn(nil, s, txn.RecordMeta{Explicit: true, Origin: OriginBinary}, noopBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestOriginSurvivesSaveLoad(t *testing.T) {
 	if _, _, err := st.Install(src, true, noopBuilder); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.InstallFrom(bin, false, OriginBinary, noopBuilder); err != nil {
+	if _, _, err := st.InstallTxn(nil, bin, txn.RecordMeta{Origin: OriginBinary}, noopBuilder); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(); err != nil {

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/simfs"
+	"repro/internal/spec"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -77,25 +79,75 @@ func TestOpenWithoutDatabase(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptDatabase: every way the on-disk layout can be damaged
+// makes Load and Open fail with an error naming the damaged file — never
+// a panic, and never a silently empty store.
 func TestLoadCorruptDatabase(t *testing.T) {
-	st := newStore(t)
-	st.FS.MkdirAll("/spack/opt/.spack-db")
-	st.FS.WriteFile("/spack/opt/.spack-db/index.json", []byte("{not json"))
-	if err := st.Load(); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("corrupt db error = %v", err)
+	a := mustConcrete(t, "libelf@0.8.13")
+	manifestPath := "/spack/opt/.spack-db/" + manifestFile
+	shardA := shardPath("/spack/opt/.spack-db", string(a.FullHash()[0]))
+	for _, tc := range []struct {
+		name, file string
+		damage     func(fs *simfs.FS) error
+	}{
+		{"garbage manifest", manifestPath, func(fs *simfs.FS) error {
+			return fs.WriteFile(manifestPath, []byte("{not json"))
+		}},
+		{"unsupported manifest version", manifestPath, func(fs *simfs.FS) error {
+			return fs.WriteFile(manifestPath, []byte(`{"version": 99, "shards": []}`))
+		}},
+		{"manifest names a missing shard", shardA, func(fs *simfs.FS) error {
+			return fs.Remove(shardA)
+		}},
+		{"shard with invalid JSON", shardA, func(fs *simfs.FS) error {
+			return fs.WriteFile(shardA, []byte(`[{"spec": "libelf"`))
+		}},
+		{"shard spec_json does not decode", shardA, func(fs *simfs.FS) error {
+			return fs.WriteFile(shardA, []byte(`[{"spec": "libelf", "spec_json": {"root": ""}, "prefix": "/x"}]`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newStore(t)
+			for _, s := range []*spec.Spec{a, mustConcrete(t, "zlib")} {
+				if _, _, err := st.Install(s, true, noopBuilder); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.damage(st.FS); err != nil {
+				t.Fatal(err)
+			}
+
+			fresh, err := New(st.FS, "/spack/opt", SpackLayout{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.Load()
+			if err == nil || errors.Is(err, ErrNoDatabase) || !strings.Contains(err.Error(), tc.file) {
+				t.Errorf("Load error = %v, want one naming %s", err, tc.file)
+			}
+			opened, err := Open(st.FS, "/spack/opt", SpackLayout{})
+			if err == nil || !strings.Contains(err.Error(), tc.file) {
+				t.Errorf("Open error = %v, want one naming %s", err, tc.file)
+			}
+			if opened != nil {
+				t.Errorf("Open returned a store with %d records alongside its error", opened.Len())
+			}
+		})
 	}
 }
 
 // TestSaveCrashSafety: a write failure mid-Save must never corrupt the
 // on-disk database — the temp-file-plus-rename protocol leaves the
-// previous state loadable. Exercised for both index implementations.
+// previous state loadable.
 func TestSaveCrashSafety(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() Index
 	}{
 		{"sharded", func() Index { return NewShardedIndex() }},
-		{"mutex", func() Index { return NewMutexIndex() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := simfs.New(simfs.TempFS)

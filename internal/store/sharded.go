@@ -13,9 +13,9 @@ import (
 // literally named after the hash prefix it covers.
 const hashAlphabet = "abcdefghijklmnopqrstuvwxyz234567"
 
-// NumShards is the stripe count of ShardedIndex: one shard per possible
+// numShards is the stripe count of ShardedIndex: one shard per possible
 // first hash character.
-const NumShards = len(hashAlphabet)
+const numShards = len(hashAlphabet)
 
 // shardOf maps a full DAG hash to its shard number. Hashes are uniform
 // (SHA-256), so the stripes are statistically balanced; anything that is
@@ -47,13 +47,13 @@ type shard struct {
 	savedGen uint64
 }
 
-// ShardedIndex is the lock-striped installation database: NumShards
+// ShardedIndex is the lock-striped installation database: numShards
 // independent shards keyed by hash prefix, each persisted to its own file
 // .spack-db/shards/<prefix>.json plus a manifest, so concurrent builders
 // working on different specs share no lock and Save only rewrites shards
 // that changed since the last Save.
 type ShardedIndex struct {
-	shards [NumShards]shard
+	shards [numShards]shard
 	// saveMu serializes Save/Load so concurrent savers do not interleave
 	// shard files and the manifest. Mutations do not take it.
 	saveMu sync.Mutex
@@ -253,7 +253,7 @@ func (ix *ShardedIndex) Save(fs *simfs.FS, dbDir string) error {
 				}
 				mkdirDone = true
 			}
-			if err := writeFileAtomic(fs, shardsDir+"/"+prefix+".json", data); err != nil {
+			if err := writeFileAtomic(fs, shardPath(dbDir, prefix), data); err != nil {
 				return err
 			}
 			count = len(entries)
@@ -282,29 +282,12 @@ func (ix *ShardedIndex) Save(fs *simfs.FS, dbDir string) error {
 	return writeFileAtomic(fs, dbDir+"/"+manifestFile, data)
 }
 
-// Load replaces the contents from the sharded layout. When no manifest
-// exists but a legacy monolithic index.json does, the legacy database is
-// loaded and auto-migrated: the sharded layout is written and the legacy
-// file removed, so the next process starts on shards directly.
+// Load replaces the contents from the manifest and the shard files it
+// names, returning ErrNoDatabase when no manifest was ever saved.
 func (ix *ShardedIndex) Load(fs *simfs.FS, dbDir string) error {
 	ix.saveMu.Lock()
 	man, err := readManifest(fs, dbDir)
 	ix.saveMu.Unlock()
-	if err == errNoManifest {
-		records, lerr := loadLegacy(fs, dbDir)
-		if lerr != nil {
-			return lerr
-		}
-		ix.Replace(records)
-		// Migrate: persist the sharded layout and retire the legacy file
-		// so both never coexist (a stale index.json would shadow newer
-		// shard state for legacy readers).
-		if err := ix.Save(fs, dbDir); err != nil {
-			return fmt.Errorf("store: migrating legacy index: %w", err)
-		}
-		_ = fs.Remove(dbDir + "/" + legacyIndexFile)
-		return nil
-	}
 	if err != nil {
 		return err
 	}
@@ -317,14 +300,14 @@ func (ix *ShardedIndex) Load(fs *simfs.FS, dbDir string) error {
 	// the next Save rewrites the manifest back into agreement.
 	behind := make(map[string]bool)
 	for _, ms := range man.Shards {
-		path := dbDir + "/" + shardsDirName + "/" + ms.Prefix + ".json"
+		path := shardPath(dbDir, ms.Prefix)
 		data, err := fs.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("store: manifest names missing shard %s: %w", ms.Prefix, err)
+			return fmt.Errorf("store: manifest names missing shard %s: %w", path, err)
 		}
 		entries, err := decodeEntries(data)
 		if err != nil {
-			return fmt.Errorf("store: corrupt shard %s: %w", ms.Prefix, err)
+			return fmt.Errorf("store: corrupt shard %s: %w", path, err)
 		}
 		if len(entries) != ms.Count {
 			behind[ms.Prefix] = true
@@ -359,23 +342,4 @@ func (ix *ShardedIndex) Load(fs *simfs.FS, dbDir string) error {
 	return nil
 }
 
-// DistributionStats reports how records spread over the stripes — used by
-// tests and the contention benchmark to confirm the hash prefixes balance.
-func (ix *ShardedIndex) DistributionStats() (nonEmpty, maxLoad int) {
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.RLock()
-		n := len(sh.records)
-		sh.mu.RUnlock()
-		if n > 0 {
-			nonEmpty++
-		}
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	return nonEmpty, maxLoad
-}
-
 var _ Index = (*ShardedIndex)(nil)
-var _ Index = (*MutexIndex)(nil)

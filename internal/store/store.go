@@ -17,6 +17,7 @@ import (
 	"repro/internal/simfs"
 	"repro/internal/spec"
 	"repro/internal/syntax"
+	"repro/internal/txn"
 )
 
 // Layout maps a concrete spec to an install path fragment (relative to the
@@ -225,9 +226,8 @@ type Store struct {
 // Option customizes New/Open.
 type Option func(*Store)
 
-// WithIndex selects the index implementation; the default is the
-// lock-striped ShardedIndex. NewMutexIndex restores the historical
-// single-lock behaviour (and the legacy monolithic on-disk layout).
+// WithIndex supplies the index; the default is a fresh ShardedIndex.
+// Instrumentation passes a wrapper around one to observe index traffic.
 func WithIndex(ix Index) Option { return func(st *Store) { st.index = ix } }
 
 // New creates a store rooted at root (e.g. "/spack/opt") on a filesystem.
@@ -245,10 +245,6 @@ func New(fs *simfs.FS, root string, layout Layout, opts ...Option) (*Store, erro
 	}
 	return st, nil
 }
-
-// Index exposes the store's installation index (the seam tests and
-// benchmarks inspect; consumers should stay on the Store/Querier API).
-func (st *Store) Index() Index { return st.index }
 
 // Prefix returns the unique install prefix for a concrete spec.
 func (st *Store) Prefix(s *spec.Spec) string {
@@ -296,16 +292,7 @@ func (e *InstallError) Unwrap() error { return e.Err }
 // and share its outcome (including failure), so the builder runs exactly
 // once instead of racing to build twice and discarding the loser's work.
 func (st *Store) Install(s *spec.Spec, explicit bool, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallFrom(s, explicit, OriginSource, builder)
-}
-
-// InstallFrom is Install with an explicit origin label (OriginSource,
-// OriginBinary). Binary-cache pulls use it so the database records which
-// installs were relocated from archives rather than compiled; the
-// singleflight/promotion discipline is identical. External specs are
-// always recorded as OriginExternal regardless of the requested origin.
-func (st *Store) InstallFrom(s *spec.Spec, explicit bool, origin string, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallTxn(nil, s, explicit, origin, builder)
+	return st.InstallTxn(nil, s, txn.RecordMeta{Explicit: explicit, Origin: OriginSource}, builder)
 }
 
 // lookupPromote is the reuse fast path: present configurations are

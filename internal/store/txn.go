@@ -70,24 +70,20 @@ func (st *Store) Recover() (txn.RecoverStats, error) {
 	return txn.Recover(st.FS, st.JournalDir(), applier{st: st, sync: true})
 }
 
-// InstallTxn is Install staged into a caller-owned transaction: the
-// prefix is journaled before creation and the index record is staged as a
-// redo operation, so t.Commit/Rollback (or crash recovery) moves all of
-// the transaction's installs together. A nil transaction gives each
-// install its own journaled transaction, committed before returning —
-// the Install/InstallFrom behaviour.
+// InstallTxn is Install staged into a caller-owned transaction, carrying
+// full record metadata: the origin label (source build, binary-cache
+// pull, splice; externals are always recorded as OriginExternal) plus
+// splice provenance, so a spliced or re-pulled install records what it
+// was rewired from. The prefix is journaled before creation and the index
+// record is staged as a redo operation, so t.Commit/Rollback (or crash
+// recovery) moves all of the transaction's installs together. A nil
+// transaction gives each install its own journaled transaction, committed
+// before returning — the Install behaviour.
 //
 // The record is inserted into the in-memory index immediately (not at
 // commit), so later work in the same transaction — dependency prefix
 // lookups, view computation — sees it; a rollback hook takes it back out.
-func (st *Store) InstallTxn(t *txn.Txn, s *spec.Spec, explicit bool, origin string, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallMetaTxn(t, s, txn.RecordMeta{Explicit: explicit, Origin: origin}, builder)
-}
-
-// InstallMetaTxn is InstallTxn carrying full record metadata — origin
-// plus splice provenance (spliced-from hash and lineage chain) — so a
-// spliced or re-pulled install records what it was rewired from.
-func (st *Store) InstallMetaTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, builder func(prefix string) error) (*Record, bool, error) {
+func (st *Store) InstallTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, builder func(prefix string) error) (*Record, bool, error) {
 	if !s.NodeConcrete() {
 		return nil, false, &InstallError{Spec: s.String(), Err: fmt.Errorf("spec is not concrete")}
 	}
