@@ -54,10 +54,12 @@ bench-store:
 	cat BENCH_store.json
 
 # Binary-cache benchmarks: the 47-package ARES stack installed from
-# source vs. pulled from a seeded cache at Jobs=8, rendered to
-# BENCH_buildcache.json with the derived cached-install speedup.
+# source vs. pulled from a seeded cache at Jobs=8, and the ARES DAG
+# pushed from a store holding ARES alone vs. one crowded with other
+# matrix configurations, rendered to BENCH_buildcache.json with the
+# derived cached-install speedup and push crowding ratio.
 bench-buildcache:
-	go test -run '^$$' -bench 'BuildcacheARES' -benchmem . \
+	go test -run '^$$' -bench 'BuildcacheARES|BuildcachePush' -benchmem . \
 		| tee bench_buildcache.txt \
 		| go run ./cmd/benchjson -o BENCH_buildcache.json
 	cat BENCH_buildcache.json
@@ -113,11 +115,12 @@ bench-splice:
 	cat BENCH_splice.json
 
 # Regression gate: every committed benchmark report must clear its
-# declared acceptance bar (warm concretize ≥10x, sharded store ≥2x at 8
-# workers, cached ARES install ≥5x, warm env lockfile ≥10x, service
-# herd coalescing ≥8 clients per cache-miss build, 4-worker scheduler
-# scaling ≥2x, GC reclaim ≥95% of dead bytes with the live closure
-# byte-identical, splice ≥5x over rebuilding the cone).
+# declared acceptance bar (warm concretize ≥10x, reuse solve at most 2x
+# the cold solve, store_save_cost_inv_w8 ≥ 0.5, cached ARES install
+# ≥5x, buildcache_push_crowding_inv ≥ 0.5, warm env lockfile ≥10x,
+# service herd coalescing ≥8 clients per cache-miss build, 4-worker
+# scheduler scaling ≥2x, GC reclaim ≥95% of dead bytes with the live
+# closure byte-identical, splice ≥5x over rebuilding the cone).
 bench-check:
 	go run ./cmd/benchjson -check BENCH_concretize.json BENCH_store.json BENCH_buildcache.json BENCH_env.json BENCH_service.json BENCH_sched.json BENCH_lifecycle.json BENCH_splice.json
 

@@ -9,9 +9,17 @@
 //	    fetch/stage/compile, which is where buildcaches earn their keep:
 //	    the acceptance bar (enforced by `benchjson -check`) is
 //	    buildcache_speedup_j8 ≥ 5.
+//
+//	BenchmarkBuildcachePush/{alone,crowded} — push the ARES DAG into a
+//	    fresh cache from a store that holds only ARES, and from one that
+//	    also holds several other installed matrix configurations. Packing
+//	    a prefix must cost what that prefix holds, not what the whole
+//	    filesystem holds: the bar is buildcache_push_crowding_inv =
+//	    ns/op(alone) ÷ ns/op(crowded) ≥ 0.5.
 package repro
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -156,5 +164,81 @@ func TestBuildcacheBenchSanity(t *testing.T) {
 		if rec.Origin != store.OriginBinary {
 			t.Fatalf("%s origin = %q, want %q", n.Name, rec.Origin, store.OriginBinary)
 		}
+	}
+}
+
+var (
+	pushOnce    sync.Once
+	pushAlone   *store.Store // ARES only
+	pushCrowded *store.Store // ARES plus every fourth matrix configuration
+	pushErr     error
+)
+
+// pushSetup installs the two source stores of BenchmarkBuildcachePush.
+func pushSetup() {
+	pushOnce.Do(func() {
+		alone := newBenchMachine(nil)
+		if _, pushErr = alone.Build(bcSpec); pushErr != nil {
+			return
+		}
+		crowded := newBenchMachine(nil)
+		if _, pushErr = crowded.Build(bcSpec); pushErr != nil {
+			return
+		}
+		c := concretize.New(repo.NewPath(ares.Repo(), repo.Builtin()), config.New(), compiler.LLNLRegistry())
+		for i, e := range ares.MatrixEntries() {
+			if i%4 != 0 {
+				continue
+			}
+			s, err := c.Concretize(e.Abstract)
+			if err == nil {
+				_, err = crowded.Build(s)
+			}
+			if err != nil {
+				pushErr = fmt.Errorf("%s: %w", e.Abstract, err)
+				return
+			}
+		}
+		pushAlone, pushCrowded = alone.Store, crowded.Store
+	})
+}
+
+func BenchmarkBuildcachePush(b *testing.B) {
+	bcSetup()
+	if bcErr != nil {
+		b.Fatal(bcErr)
+	}
+	pushSetup()
+	if pushErr != nil {
+		b.Fatal(pushErr)
+	}
+	// Build logs name numbered stage directories, so archives of two
+	// separate builds differ in bytes; what each archive packs must not.
+	var want []string
+	for _, leg := range []struct {
+		name string
+		st   *store.Store
+	}{{"alone", pushAlone}, {"crowded", pushCrowded}} {
+		b.Run(leg.name, func(b *testing.B) {
+			var packed []string
+			for i := 0; i < b.N; i++ {
+				cache := buildcache.New(buildcache.NewMirrorBackend(fetch.NewMirror()))
+				entries, err := cache.PushDAG(leg.st, bcSpec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				packed = packed[:0]
+				for _, e := range entries {
+					packed = append(packed, fmt.Sprintf("%s:%d", e.FullHash, e.Files))
+				}
+			}
+			if want == nil {
+				want = append([]string(nil), packed...)
+			} else if fmt.Sprint(packed) != fmt.Sprint(want) {
+				b.Fatalf("crowded store packed %v, store holding ARES alone %v", packed, want)
+			}
+			b.ReportMetric(float64(len(packed)), "archives")
+			b.ReportMetric(float64(leg.st.FS.FileCount()), "fs-files")
+		})
 	}
 }

@@ -31,6 +31,10 @@ var bars = []bar{
 	// Binary cache: cached ARES install ≥5x faster (simulated install
 	// time) than building from source at Jobs=8.
 	{"buildcache_speedup_j8", 5},
+	// Binary cache push: a store crowded with other installed matrix
+	// configurations at most doubles the wall time of pushing the ARES
+	// DAG (inverted ratio, floor 0.5).
+	{"buildcache_push_crowding_inv", 0.5},
 	// Environments: `env install` on an unchanged lockfile is a no-op
 	// diff ≥10x cheaper than the cold install it short-circuits.
 	{"env_warm_lockfile_speedup", 10},

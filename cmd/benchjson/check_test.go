@@ -103,6 +103,20 @@ func TestDeriveBuildcacheSpeedup(t *testing.T) {
 	}
 }
 
+func TestDeriveBuildcachePushCrowding(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "BenchmarkBuildcachePush/alone", Metrics: map[string]float64{"ns/op": 18e6}},
+		{Name: "BenchmarkBuildcachePush/crowded", Metrics: map[string]float64{"ns/op": 48e6}},
+	}
+	d := derive(benches)
+	if got := d["buildcache_push_crowding_inv"]; got != 0.375 {
+		t.Errorf("buildcache_push_crowding_inv = %v, want 0.375", got)
+	}
+	if _, fails := checkReport("push", report(d)); len(fails) != 1 {
+		t.Errorf("a push slowed by the crowd should miss its bar, failures = %v", fails)
+	}
+}
+
 func TestDeriveStoreSaveCost(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkStoreContention/save-each/w8",

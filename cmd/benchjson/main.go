@@ -177,6 +177,14 @@ func derive(benchmarks []Benchmark) map[string]float64 {
 	if srcNs > 0 && cachedNs > 0 {
 		d["buildcache_real_speedup_j8"] = srcNs / cachedNs
 	}
+	// Binary cache push: packing the ARES DAG from a store that holds only
+	// ARES vs. one crowded with other installed matrix configurations.
+	// Expressed inverted (alone/crowded) so the bar stays a floor: 0.5
+	// means a crowded filesystem at most doubles the cost of a push.
+	pushAlone := ns("BenchmarkBuildcachePush/alone")
+	if pushCrowded := ns("BenchmarkBuildcachePush/crowded"); pushAlone > 0 && pushCrowded > 0 {
+		d["buildcache_push_crowding_inv"] = pushAlone / pushCrowded
+	}
 	// Buildcache service: the coalescing ratio of the install herd — how
 	// many concurrent clients the daemon collapses onto each cache-miss
 	// build. With server-side singleflight working this equals the herd

@@ -125,11 +125,70 @@ type node struct {
 	symlink string // nonempty: node is a symlink to this target
 }
 
-// fsStore is the shared backing tree.
+// fsStore is the shared backing tree. files holds every regular file and
+// symlink. dirs maps each directory to its immediate children, as full
+// paths that alias the files/dirs keys, in no particular order. Every
+// mutator keeps that child index current, so the subtree operations
+// (Walk, List, RemoveAll, TreeSize) cost O(subtree), not O(filesystem).
 type fsStore struct {
 	mu    sync.RWMutex
 	files map[string]*node
-	dirs  map[string]bool
+	dirs  map[string][]string
+}
+
+func (s *fsStore) isDir(p string) bool {
+	_, ok := s.dirs[p]
+	return ok
+}
+
+// link records a newly created path among its parent's children.
+func (s *fsStore) link(p string) {
+	dir := parent(p)
+	s.dirs[dir] = append(s.dirs[dir], p)
+}
+
+// unlink drops p from its parent's children. The scan runs from the end,
+// where a temp file written just before its rename sits, and the hole is
+// filled by the last child.
+func (s *fsStore) unlink(p string) {
+	dir := parent(p)
+	kids := s.dirs[dir]
+	for i := len(kids) - 1; i >= 0; i-- {
+		if kids[i] == p {
+			last := len(kids) - 1
+			kids[i] = kids[last]
+			kids[last] = ""
+			s.dirs[dir] = kids[:last]
+			return
+		}
+	}
+}
+
+// under calls fn for every path strictly beneath directory dir, children
+// before their parent directory, in no particular order. fn may delete
+// the path it is given.
+func (s *fsStore) under(dir string, fn func(p string, isDir bool)) {
+	for _, k := range s.dirs[dir] {
+		isDir := s.isDir(k)
+		if isDir {
+			s.under(k, fn)
+		}
+		fn(k, isDir)
+	}
+}
+
+// filesAt returns every file and symlink at or under p, unsorted.
+func (s *fsStore) filesAt(p string) []string {
+	if _, ok := s.files[p]; ok {
+		return []string{p}
+	}
+	var out []string
+	s.under(p, func(q string, isDir bool) {
+		if !isDir {
+			out = append(out, q)
+		}
+	})
+	return out
 }
 
 // failurePlan injects deterministic faults for failure-handling tests:
@@ -183,7 +242,7 @@ func (fs *FS) maybeFail(op, path string) error {
 // New creates an empty filesystem with the given latency profile and a
 // fresh meter. The root directory "/" exists.
 func New(lat Latency) *FS {
-	s := &fsStore{files: make(map[string]*node), dirs: map[string]bool{"/": true}}
+	s := &fsStore{files: make(map[string]*node), dirs: map[string][]string{"/": nil}}
 	return &FS{store: s, lat: lat, meter: NewMeter()}
 }
 
@@ -204,6 +263,16 @@ func (fs *FS) Meter() *Meter { return fs.meter }
 
 // Latency returns the handle's profile.
 func (fs *FS) Latency() Latency { return fs.lat }
+
+// parent returns the directory holding a clean absolute path: path.Dir
+// without the re-cleaning.
+func parent(p string) string {
+	i := strings.LastIndexByte(p, '/')
+	if i <= 0 {
+		return "/"
+	}
+	return p[:i]
+}
 
 func clean(p string) string {
 	if p == "" {
@@ -235,19 +304,20 @@ func (fs *FS) MkdirAll(p string) error {
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
 	var parts []string
-	for cur := p; cur != "/"; cur = path.Dir(cur) {
+	for cur := p; cur != "/"; cur = parent(cur) {
 		parts = append(parts, cur)
 	}
 	created := 0
 	for i := len(parts) - 1; i >= 0; i-- {
 		dir := parts[i]
-		if fs.store.dirs[dir] {
+		if fs.store.isDir(dir) {
 			continue
 		}
 		if _, isFile := fs.store.files[dir]; isFile {
 			return &PathError{Op: "mkdir", Path: dir, Msg: "is a file"}
 		}
-		fs.store.dirs[dir] = true
+		fs.store.dirs[dir] = nil
+		fs.store.link(dir)
 		created++
 	}
 	fs.meter.add("mkdir", fs.lat.Mkdir*time.Duration(created)+fs.lat.Stat)
@@ -262,11 +332,11 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	dir := path.Dir(p)
-	if !fs.store.dirs[dir] {
+	dir := parent(p)
+	if !fs.store.isDir(dir) {
 		return &PathError{Op: "create", Path: p, Msg: "parent directory does not exist"}
 	}
-	if fs.store.dirs[p] {
+	if fs.store.isDir(p) {
 		return &PathError{Op: "create", Path: p, Msg: "is a directory"}
 	}
 	_, existed := fs.store.files[p]
@@ -275,6 +345,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	fs.store.files[p] = &node{data: buf}
 	cost := fs.lat.Write + fs.lat.PerKBWrite*time.Duration(len(data)/1024+1)
 	if !existed {
+		fs.store.link(p)
 		cost += fs.lat.Create
 	}
 	fs.meter.add("write", cost)
@@ -321,7 +392,7 @@ func (fs *FS) Stat(p string) (exists, isDir bool) {
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
 	fs.meter.add("stat", fs.lat.Stat)
-	if fs.store.dirs[p] {
+	if fs.store.isDir(p) {
 		return true, true
 	}
 	_, ok := fs.store.files[p]
@@ -337,16 +408,17 @@ func (fs *FS) Symlink(oldname, newname string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if !fs.store.dirs[path.Dir(newname)] {
+	if !fs.store.isDir(parent(newname)) {
 		return &PathError{Op: "symlink", Path: newname, Msg: "parent directory does not exist"}
 	}
 	if _, exists := fs.store.files[newname]; exists {
 		return &PathError{Op: "symlink", Path: newname, Msg: "file exists"}
 	}
-	if fs.store.dirs[newname] {
+	if fs.store.isDir(newname) {
 		return &PathError{Op: "symlink", Path: newname, Msg: "is a directory"}
 	}
 	fs.store.files[newname] = &node{symlink: oldname}
+	fs.store.link(newname)
 	fs.meter.add("symlink", fs.lat.Symlink)
 	return nil
 }
@@ -387,22 +459,27 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if fs.store.dirs[oldpath] {
+	if fs.store.isDir(oldpath) {
 		return &PathError{Op: "rename", Path: oldpath, Msg: "is a directory"}
 	}
 	n, ok := fs.store.files[oldpath]
 	if !ok {
 		return &PathError{Op: "rename", Path: oldpath, Msg: "no such file"}
 	}
-	if fs.store.dirs[newpath] {
+	if fs.store.isDir(newpath) {
 		return &PathError{Op: "rename", Path: newpath, Msg: "is a directory"}
 	}
-	if !fs.store.dirs[path.Dir(newpath)] {
+	if !fs.store.isDir(parent(newpath)) {
 		return &PathError{Op: "rename", Path: newpath, Msg: "parent directory does not exist"}
 	}
 	if oldpath != newpath {
+		_, replaced := fs.store.files[newpath]
 		fs.store.files[newpath] = n
 		delete(fs.store.files, oldpath)
+		fs.store.unlink(oldpath)
+		if !replaced {
+			fs.store.link(newpath)
+		}
 	}
 	fs.meter.add("rename", fs.lat.Create)
 	return nil
@@ -416,36 +493,44 @@ func (fs *FS) Remove(p string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if fs.store.dirs[p] {
+	if fs.store.isDir(p) {
 		return &PathError{Op: "remove", Path: p, Msg: "is a directory"}
 	}
 	if _, ok := fs.store.files[p]; !ok {
 		return &PathError{Op: "remove", Path: p, Msg: "no such file"}
 	}
 	delete(fs.store.files, p)
+	fs.store.unlink(p)
 	fs.meter.add("remove", fs.lat.Remove)
 	return nil
 }
 
 // RemoveAll deletes a path and everything beneath it. Removing a missing
-// path is not an error.
+// path is not an error. RemoveAll("/") empties the tree but keeps the
+// root directory.
 func (fs *FS) RemoveAll(p string) error {
 	p = clean(p)
-	fs.store.mu.Lock()
-	defer fs.store.mu.Unlock()
-	prefix := p + "/"
+	s := fs.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	removed := 0
-	for f := range fs.store.files {
-		if f == p || strings.HasPrefix(f, prefix) {
-			delete(fs.store.files, f)
-			removed++
+	s.under(p, func(q string, isDir bool) {
+		if isDir {
+			delete(s.dirs, q)
+		} else {
+			delete(s.files, q)
 		}
-	}
-	for d := range fs.store.dirs {
-		if d == p || strings.HasPrefix(d, prefix) {
-			delete(fs.store.dirs, d)
-			removed++
-		}
+		removed++
+	})
+	_, isFile := s.files[p]
+	switch {
+	case p == "/":
+		s.dirs[p] = nil
+	case isFile || s.isDir(p):
+		delete(s.files, p)
+		delete(s.dirs, p)
+		s.unlink(p)
+		removed++
 	}
 	fs.meter.add("remove", fs.lat.Remove*time.Duration(removed+1))
 	return nil
@@ -456,56 +541,30 @@ func (fs *FS) List(dir string) ([]string, error) {
 	dir = clean(dir)
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
-	if !fs.store.dirs[dir] {
+	kids, ok := fs.store.dirs[dir]
+	if !ok {
 		return nil, &PathError{Op: "list", Path: dir, Msg: "no such directory"}
 	}
 	fs.meter.add("stat", fs.lat.Open+fs.lat.Read)
-	prefix := dir + "/"
+	skip := len(dir) + 1
 	if dir == "/" {
-		prefix = "/"
+		skip = 1
 	}
-	seen := make(map[string]bool)
-	add := func(p string) {
-		if !strings.HasPrefix(p, prefix) || p == dir {
-			return
-		}
-		rest := strings.TrimPrefix(p, prefix)
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			rest = rest[:i]
-		}
-		if rest != "" {
-			seen[rest] = true
-		}
-	}
-	for f := range fs.store.files {
-		add(f)
-	}
-	for d := range fs.store.dirs {
-		add(d)
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
+	out := make([]string, len(kids))
+	for i, k := range kids {
+		out[i] = k[skip:]
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// Walk visits every file and symlink under root (sorted), calling fn with
-// the path.
+// Walk visits every file and symlink under root, calling fn with the
+// path. Paths come in byte-sorted order ("p/a.c" before "p/a/b"), so
+// anything packed from a walk is reproducible.
 func (fs *FS) Walk(root string, fn func(path string, isSymlink bool) error) error {
 	root = clean(root)
 	fs.store.mu.RLock()
-	var paths []string
-	prefix := root + "/"
-	if root == "/" {
-		prefix = "/"
-	}
-	for f := range fs.store.files {
-		if f == root || strings.HasPrefix(f, prefix) {
-			paths = append(paths, f)
-		}
-	}
+	paths := fs.store.filesAt(root)
 	fs.store.mu.RUnlock()
 	sort.Strings(paths)
 	for _, p := range paths {
@@ -537,15 +596,9 @@ func (fs *FS) TreeSize(p string) int64 {
 	p = clean(p)
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
-	prefix := p + "/"
-	if p == "/" {
-		prefix = "/"
-	}
 	var total int64
-	for f, n := range fs.store.files {
-		if f != p && !strings.HasPrefix(f, prefix) {
-			continue
-		}
+	for _, f := range fs.store.filesAt(p) {
+		n := fs.store.files[f]
 		if n.symlink != "" {
 			total += int64(len(n.symlink))
 		} else {
