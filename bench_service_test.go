@@ -32,14 +32,17 @@ import (
 
 // newBenchDaemon wires a fresh install machine behind an HTTP daemon on
 // an ephemeral port, returning the server, its base URL, and the
-// builder (whose store the caller may pre-warm).
+// builder (whose store the caller may pre-warm). Its concretizer has a
+// memo cache, as `spack-go serve` (through core) does.
 func newBenchDaemon(tb testing.TB) (*service.Server, string, *build.Builder) {
 	tb.Helper()
 	m := newBenchMachine(nil)
 	path := repo.NewPath(ares.Repo(), repo.Builtin())
+	conc := concretize.New(path, config.New(), compiler.LLNLRegistry())
+	conc.Cache = concretize.NewCache(concretize.DefaultCacheSize)
 	srv := service.NewServer(service.Config{
 		Mirror:      bcSources,
-		Concretizer: concretize.New(path, config.New(), compiler.LLNLRegistry()),
+		Concretizer: conc,
 		Builder:     m,
 		Log:         io.Discard,
 	})

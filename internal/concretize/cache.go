@@ -54,7 +54,10 @@ type CacheStats struct {
 //
 // Entries are insulated from callers in both directions: Put stores a deep
 // clone and Get returns a fresh deep clone, so mutating either the spec that
-// was inserted or a returned hit cannot poison the cache.
+// was inserted or a returned hit cannot poison the cache. (Freezing cannot
+// do this alone: it guards the mutators, not writes to exported fields.)
+// Both copies are frozen, and a hit carries the full hash of every node,
+// computed once per entry, so serving it hashes nothing.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -87,18 +90,22 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// Get returns a deep clone of the cached concrete DAG for a key, if present.
+// Get returns a frozen deep clone of the cached concrete DAG for a key, if
+// present. The entry is never modified once stored, so it is copied
+// outside the lock.
 func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	c.stats.Hits++
-	return el.Value.(*cacheEntry).concrete.Clone(), true
+	concrete := el.Value.(*cacheEntry).concrete
+	c.mu.Unlock()
+	return concrete.CloneFrozen(), true
 }
 
 // Put stores a deep clone of a concrete DAG under a key, evicting the least
@@ -106,7 +113,7 @@ func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 // evictions this insertion caused (0 or 1), so callers can fold the count
 // into their own statistics.
 func (c *Cache) Put(key Key, concrete *spec.Spec) int64 {
-	clone := concrete.Clone()
+	clone := concrete.Clone().Freeze()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

@@ -268,6 +268,7 @@ func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, e
 // concretizeUncached is the full pipeline behind Concretize: solve the
 // input, account for reuse, and on UNSAT attach the minimal core
 // explanation. Only the backtracking search keeps an implication trail.
+// The result is frozen.
 func (c *Concretizer) concretizeUncached(abstract *spec.Spec, snap *reuseSnapshot) (*spec.Spec, error) {
 	var trail *solve.Trail
 	if c.Backtracking {
@@ -277,6 +278,7 @@ func (c *Concretizer) concretizeUncached(abstract *spec.Spec, snap *reuseSnapsho
 	if err != nil {
 		return nil, c.explainUnsat(abstract, err, trail)
 	}
+	out.Freeze()
 	if snap != nil {
 		for _, n := range out.Nodes() {
 			if _, ok := snap.hashes[n.FullHash()]; ok {

@@ -2,6 +2,7 @@ package concretize
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -711,5 +712,38 @@ func TestCrossCompiledDependency(t *testing.T) {
 	s2 := mustConcretize(t, c, "libdwarf%gcc@4.7.3")
 	if got := s2.Dep("libelf").Compiler.String(); got != "gcc@4.7.3" {
 		t.Errorf("same-arch inheritance broken: %s", got)
+	}
+}
+
+// TestDeepChainConcretizes: the fixed-point loop's budget grows with the
+// DAG, so a chain deeper than any fixed iteration cap still converges.
+// Each pass attaches one more level; a cap of 64 passes used to fail every
+// chain deeper than 62.
+func TestDeepChainConcretizes(t *testing.T) {
+	const depth = 200
+	r := repo.NewRepo("chain")
+	for i := 0; i < depth; i++ {
+		p := pkg.New(fmt.Sprintf("link%03d", i)).Describe("chain link")
+		if i+1 < depth {
+			p.DependsOn(fmt.Sprintf("link%03d", i+1))
+		}
+		p.WithVersion("1.0", "x")
+		r.MustAdd(p)
+	}
+	c := New(repo.NewPath(r), config.New(), compiler.LLNLRegistry())
+	s := mustConcretize(t, c, "link000")
+	if got := s.Size(); got != depth {
+		t.Fatalf("chain DAG has %d nodes, want %d", got, depth)
+	}
+	if !s.Concrete() {
+		t.Fatal("chain DAG is not concrete")
+	}
+	n := s
+	for i := 1; i < depth; i++ {
+		deps := n.DirectDeps()
+		if len(deps) != 1 || deps[0].Name != fmt.Sprintf("link%03d", i) {
+			t.Fatalf("link%03d depends on %v", i-1, deps)
+		}
+		n = deps[0]
 	}
 }

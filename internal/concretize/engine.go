@@ -12,9 +12,14 @@ import (
 	"repro/internal/version"
 )
 
-// maxIters bounds the fixed-point loop (safety net; realistic DAGs converge
-// in a handful of rounds).
-const maxIters = 64
+// iterBudget bounds the fixed-point loop for a DAG of the given size. It
+// is a safety net against a pass that never settles, not a depth limit:
+// every productive pass can add one level, so a chain needs about one
+// pass per node, and the budget grows with the DAG to match. The DAG
+// holds one node per package name, so the budget stays finite.
+func iterBudget(nodes int) int {
+	return 64 + 2*nodes
+}
 
 // resolver is one propagation run: the engine layer of the v2 pipeline.
 // It owns all per-run state (the forced provider assignment from the
@@ -34,6 +39,9 @@ type resolver struct {
 	// pinApplied records pins already attempted, so a pin is constrained
 	// in at most once per run.
 	pinApplied map[string]bool
+	// nodes is the DAG's size after the latest constraint pass; it sets
+	// the run's iteration budget.
+	nodes int
 }
 
 // run performs one propagation pass to a fixed point: the Fig. 6 cycle,
@@ -48,9 +56,9 @@ func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 	root := abstract.Clone()
 	var dirty map[string]bool // nil = full pass over every node
 	for iter := 0; ; iter++ {
-		if iter >= maxIters {
+		if iter >= iterBudget(r.nodes) {
 			return nil, &Error{Spec: abstract.String(),
-				Err: fmt.Errorf("no fixed point after %d iterations", maxIters)}
+				Err: fmt.Errorf("no fixed point after %d iterations", iter)}
 		}
 		r.c.Stats.iterations.Add(1)
 		touched := make(map[string]bool) // nodes whose state changed this pass
@@ -231,6 +239,7 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 			}
 		}
 	}
+	r.nodes = len(index)
 	return changed, nil
 }
 

@@ -325,7 +325,7 @@ func (s *Spack) Install(expr string) (*build.Result, error) {
 	}
 	var concrete *spec.Spec
 	if recs := s.Store.Find(abstract); len(recs) > 0 {
-		concrete = recs[0].Spec.Clone()
+		concrete = recs[0].Spec // frozen: safe to share
 	} else {
 		concrete, err = s.Concretizer.Concretize(abstract)
 		if err != nil {

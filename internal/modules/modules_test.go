@@ -109,7 +109,7 @@ func TestGenerateAll(t *testing.T) {
 		}
 	}
 	// One external that must be skipped.
-	ext := concreteSpec(t, "zlib")
+	ext := concreteSpec(t, "zlib").Clone()
 	ext.External = true
 	ext.Path = "/usr"
 	if _, _, err := st.Install(ext, false, nil); err != nil {

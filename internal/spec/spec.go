@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/version"
 )
@@ -157,6 +158,11 @@ type Spec struct {
 	// (e.g. a vendor MPI); Path records where.
 	External bool
 	Path     string
+
+	// frozen marks a node of a finished concrete DAG (see Freeze); memo
+	// holds what FullHash and DirectDeps have computed for it since.
+	frozen bool
+	memo   atomic.Pointer[frozenMemo]
 }
 
 // New returns an empty abstract spec for a package name.
@@ -166,6 +172,7 @@ func New(name string) *Spec {
 
 // EnsureMaps lazily allocates the Variants and Deps maps.
 func (s *Spec) EnsureMaps() {
+	s.mustBeMutable("EnsureMaps")
 	if s.Variants == nil {
 		s.Variants = make(map[string]VariantValue)
 	}
@@ -176,6 +183,7 @@ func (s *Spec) EnsureMaps() {
 
 // SetVariant records an explicit +name or ~name setting.
 func (s *Spec) SetVariant(name string, on bool) {
+	s.mustBeMutable("SetVariant")
 	if s.Variants == nil {
 		s.Variants = make(map[string]VariantValue)
 	}
@@ -198,6 +206,7 @@ func (s *Spec) AddDep(d *Spec) error {
 // AddDepTyped is AddDep with an explicit edge type; merging an existing
 // edge unions the type sets.
 func (s *Spec) AddDepTyped(d *Spec, t DepType) error {
+	s.mustBeMutable("AddDep")
 	if s.Deps == nil {
 		s.Deps = make(map[string]*Spec)
 	}
@@ -222,6 +231,7 @@ func (s *Spec) EdgeType(name string) DepType {
 // SetDepType records an edge classification; setting the default removes
 // the entry so hashes stay canonical.
 func (s *Spec) SetDepType(name string, t DepType) {
+	s.mustBeMutable("SetDepType")
 	if t == DepDefault {
 		delete(s.DepTypes, name)
 		return
@@ -271,8 +281,24 @@ func (s *Spec) Dep(name string) *Spec {
 	return found
 }
 
-// DirectDeps returns the direct dependency nodes sorted by name.
+// DirectDeps returns the direct dependency nodes sorted by name. On a
+// frozen node the slice is computed once and shared by every caller, so it
+// must not be modified.
 func (s *Spec) DirectDeps() []*Spec {
+	if !s.frozen {
+		return s.sortedDeps()
+	}
+	if m := s.memo.Load(); m != nil && m.depsSet {
+		return m.deps
+	}
+	deps := s.sortedDeps()
+	deps = deps[:len(deps):len(deps)] // an append by a caller must copy
+	s.fill(func(m *frozenMemo) { m.deps, m.depsSet = deps, true })
+	return deps
+}
+
+// sortedDeps builds the name-sorted direct dependency slice.
+func (s *Spec) sortedDeps() []*Spec {
 	names := make([]string, 0, len(s.Deps))
 	for n := range s.Deps {
 		names = append(names, n)
@@ -471,6 +497,7 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 	// Index every node of s's DAG by name.
 	index := make(map[string]*Spec)
 	s.Traverse(func(n *Spec) bool {
+		n.mustBeMutable("Constrain")
 		index[n.Name] = n
 		return true
 	})
@@ -558,8 +585,16 @@ func (s *Spec) cloneNodeOnly() *Spec {
 	return c
 }
 
-// Clone deep-copies the DAG, preserving node sharing.
+// Clone deep-copies the DAG, preserving node sharing. The copy is never
+// frozen, whether s is or not: Clone is how a mutator gets a DAG it may
+// change.
 func (s *Spec) Clone() *Spec {
+	return s.cloneDAG(nil)
+}
+
+// cloneDAG is Clone, calling each (when non-nil) with every original node
+// and its copy.
+func (s *Spec) cloneDAG(each func(orig, c *Spec)) *Spec {
 	clones := make(map[string]*Spec)
 	var walk func(*Spec) *Spec
 	walk = func(n *Spec) *Spec {
@@ -568,6 +603,9 @@ func (s *Spec) Clone() *Spec {
 		}
 		c := n.cloneNodeOnly()
 		clones[n.Name] = c
+		if each != nil {
+			each(n, c)
+		}
 		for name, d := range n.Deps {
 			if c.Deps == nil {
 				c.Deps = make(map[string]*Spec)

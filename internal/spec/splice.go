@@ -17,7 +17,9 @@ import "fmt"
 //
 // Every node on a path from the root to the replaced dependency — the
 // splice cone — ends up with a new full hash; nodes outside the cone
-// keep theirs, which is what lets the store share their prefixes.
+// keep theirs, which is what lets the store share their prefixes. The work
+// happens on an unfrozen clone, so no hash memoized on root carries over;
+// the result is frozen.
 func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 	fail := func(format string, args ...any) (*Spec, error) {
 		return nil, fmt.Errorf("spec: splice %s: %s", root.Name, fmt.Sprintf(format, args...))
@@ -92,7 +94,7 @@ func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 		c.parent.Deps[graftedRoot.Name] = graftedRoot
 		c.parent.SetDepType(graftedRoot.Name, c.etype)
 	}
-	return nr, nil
+	return nr.Freeze(), nil
 }
 
 // SpliceCone returns the names of the nodes whose full hash changes when

@@ -29,7 +29,7 @@ func TestInstallOriginDefaults(t *testing.T) {
 
 func TestExternalOriginOverrides(t *testing.T) {
 	st := newStore(t)
-	s := mustConcrete(t, "mpich@3.0.4")
+	s := mustConcrete(t, "mpich@3.0.4").Clone()
 	s.External = true
 	s.Path = "/opt/mpich-3.0.4"
 	// Even a caller claiming a binary origin gets the external label:

@@ -49,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadExternal(t *testing.T) {
 	st := newStore(t)
-	s := mustConcrete(t, "zlib")
+	s := mustConcrete(t, "zlib").Clone()
 	s.External = true
 	s.Path = "/usr"
 	if _, _, err := st.Install(s, false, nil); err != nil {

@@ -157,7 +157,7 @@ const (
 // mutated only through Index.Promote (under the index's lock); every other
 // field is immutable once the record is inserted.
 type Record struct {
-	Spec   *spec.Spec // the full concrete spec (cloned; do not mutate)
+	Spec   *spec.Spec // the full concrete spec (frozen; clone to change)
 	Prefix string
 	// Explicit marks installs the user asked for, as opposed to
 	// dependencies pulled in automatically.

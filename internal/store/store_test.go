@@ -287,7 +287,7 @@ func TestUninstallDependentCheck(t *testing.T) {
 
 func TestExternalInstall(t *testing.T) {
 	st := newStore(t)
-	s := mustConcrete(t, "libelf")
+	s := mustConcrete(t, "libelf").Clone()
 	s.External = true
 	s.Path = "/usr"
 	rec, built, err := st.Install(s, false, func(prefix string) error {

@@ -167,7 +167,13 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 		}
 	}
 
-	r := &Record{Spec: s.Clone(), Prefix: prefix, Explicit: meta.Explicit,
+	// A frozen spec cannot change under the record, so it is shared; an
+	// unfrozen one is copied and the copy frozen.
+	rs := s
+	if !rs.Frozen() {
+		rs = s.Clone().Freeze()
+	}
+	r := &Record{Spec: rs, Prefix: prefix, Explicit: meta.Explicit,
 		Origin: meta.Origin, SplicedFrom: meta.SplicedFrom, Lineage: meta.Lineage}
 	if winner, inserted := st.index.Insert(hash, r); !inserted {
 		// A concurrent writer (e.g. Reindex) beat us to the hash; reuse its

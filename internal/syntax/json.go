@@ -81,7 +81,8 @@ func EncodeJSON(s *spec.Spec) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// DecodeJSON reconstructs a spec DAG serialized by EncodeJSON.
+// DecodeJSON reconstructs a spec DAG serialized by EncodeJSON. A concrete
+// DAG comes back frozen (see spec.Freeze); clone it to change it.
 func DecodeJSON(data []byte) (*spec.Spec, error) {
 	var in specJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -133,7 +134,12 @@ func DecodeJSON(data []byte) (*spec.Spec, error) {
 	if !ok {
 		return nil, fmt.Errorf("syntax: root %q not among nodes", in.Root)
 	}
-	return root, nil
+	for _, n := range nodes {
+		if !n.NodeConcrete() {
+			return root, nil
+		}
+	}
+	return root.Freeze(), nil
 }
 
 // parseDepType parses a comma-separated edge-type string.

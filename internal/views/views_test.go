@@ -237,7 +237,8 @@ func TestRuleConstraintFilters(t *testing.T) {
 func TestExternalsExcluded(t *testing.T) {
 	e := newEnv(t)
 	e.cfg.Site.AddLinkRule("", "/opt/${PACKAGE}")
-	s, _ := e.conc.Concretize(syntax.MustParse("zlib"))
+	c, _ := e.conc.Concretize(syntax.MustParse("zlib"))
+	s := c.Clone()
 	s.External = true
 	s.Path = "/usr"
 	if _, _, err := e.st.Install(s, false, nil); err != nil {
