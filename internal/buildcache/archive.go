@@ -4,20 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"io/fs"
 	"strings"
+
+	"repro/internal/relocate"
 )
 
 // archiveFormatVersion is bumped whenever the serialized archive layout
 // changes incompatibly; Pull refuses archives from other versions.
 const archiveFormatVersion = 1
-
-// archiveFile is one packed file or symlink of an install prefix. Paths
-// are relative to the prefix; Data round-trips through base64 in JSON.
-type archiveFile struct {
-	Path    string `json:"path"`
-	Symlink string `json:"symlink,omitempty"`
-	Data    []byte `json:"data,omitempty"`
-}
 
 // archiveReloc is the relocation table entry for one packed file: how
 // many occurrences of each source path (store root, own prefix, each
@@ -30,18 +26,17 @@ type archiveReloc struct {
 }
 
 // Archive is the deterministic relocatable form of one installed prefix:
-// a manifest of files, the full concrete spec as provenance, the recorded
-// compiler command lines of the original build, and a relocation table of
-// every path occurrence that must be rewritten on Pull.
+// a manifest of files, the flat spec string, the recorded compiler command
+// lines of the original build, and a relocation table of every path
+// occurrence that must be rewritten on Pull. The full concrete DAG rides
+// in the signed <hash>.meta document, not here.
 type Archive struct {
 	Format   int    `json:"format"`
 	Package  string `json:"package"`
 	Version  string `json:"version"`
 	FullHash string `json:"full_hash"`
-	// Spec is the flat rendering for human readers; SpecJSON preserves
-	// the exact DAG edge structure so the hash survives the round trip.
-	Spec     string          `json:"spec"`
-	SpecJSON json.RawMessage `json:"spec_json"`
+	// Spec is the flat rendering for human readers.
+	Spec string `json:"spec"`
 	// StoreRoot and Prefix are the paths of the *source* store the
 	// archive was packed from; DepPrefixes maps each dependency's package
 	// name to its source prefix. Together they define the relocation
@@ -52,9 +47,11 @@ type Archive struct {
 	// Commands are the compiler command lines recorded in the original
 	// build log — provenance for how the binaries were produced, and the
 	// source of the expected rpath set.
-	Commands    []string       `json:"commands,omitempty"`
-	Files       []archiveFile  `json:"files"`
-	Relocations []archiveReloc `json:"relocations,omitempty"`
+	Commands []string `json:"commands,omitempty"`
+	// Files are the packed files and symlinks, paths relative to the
+	// prefix (see checkPaths); file bodies round-trip through base64.
+	Files       []relocate.File `json:"files"`
+	Relocations []archiveReloc  `json:"relocations,omitempty"`
 }
 
 // encode renders the canonical archive bytes the checksum covers.
@@ -68,9 +65,46 @@ func checksumOf(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ChecksumOf exposes the cache's integrity hash (hex SHA-256 over the
-// canonical archive bytes) for tools that verify or re-sign archives.
-func ChecksumOf(data []byte) string { return checksumOf(data) }
+// checkPaths enforces the manifest path rule: every file path is
+// non-empty, relative, clean (path.Clean leaves it unchanged) and free of
+// ".." segments — fs.ValidPath, less the "." that names the prefix
+// itself — so materializing the archive can write nowhere but under its
+// target prefix.
+func (a *Archive) checkPaths() error {
+	for _, f := range a.Files {
+		if f.Path == "." || !fs.ValidPath(f.Path) {
+			return fmt.Errorf("archive file path %q is not a clean relative path", f.Path)
+		}
+	}
+	return nil
+}
+
+// Relocation builds the options that move the archive into a target
+// store: its own prefix maps to prefix, its store root to root, and each
+// recorded dependency prefix to what dep answers for that package name.
+// Want carries the recorded per-file occurrence counts for Materialize to
+// re-verify, and ForbidRoot the source store root when it differs from
+// root (no rewritten rpath may still point into it). A dep error is
+// returned as is, so each caller keeps its own classification.
+func (a *Archive) Relocation(prefix, root string, dep func(name string) (string, error)) (relocate.Options, error) {
+	pairs := map[string]string{a.Prefix: prefix, a.StoreRoot: root}
+	for name, src := range a.DepPrefixes {
+		dst, err := dep(name)
+		if err != nil {
+			return relocate.Options{}, err
+		}
+		pairs[src] = dst
+	}
+	want := make(map[string]map[string]int, len(a.Relocations))
+	for _, r := range a.Relocations {
+		want[r.Path] = r.Occurrences
+	}
+	forbid := ""
+	if a.StoreRoot != root {
+		forbid = a.StoreRoot
+	}
+	return relocate.Options{Table: relocate.NewTable(pairs), Want: want, ForbidRoot: forbid}, nil
+}
 
 // archiveName and checksumName are the backend object names for a full
 // spec hash. The checksum rides separately so verification does not

@@ -3,6 +3,8 @@ package buildcache
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/relocate"
 )
 
 func TestParseBuildCommands(t *testing.T) {
@@ -16,7 +18,7 @@ func TestParseBuildCommands(t *testing.T) {
 
 func TestArchiveChecksumDeterministic(t *testing.T) {
 	a := &Archive{Format: archiveFormatVersion, Package: "libelf", FullHash: "h",
-		Files: []archiveFile{{Path: "lib/libelf.so", Data: []byte("x")}}}
+		Files: []relocate.File{{Path: "lib/libelf.so", Data: []byte("x")}}}
 	p1, err := a.encode()
 	if err != nil {
 		t.Fatal(err)

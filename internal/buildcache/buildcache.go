@@ -1,12 +1,12 @@
 // Package buildcache implements a binary build cache for the install
 // store: the payoff of §3.4.2's hashed, shareable prefixes and §3.5's
 // rpath-based isolation. Push packs an installed prefix into a
-// deterministic relocatable archive — a manifest of files, the full
-// concrete spec as provenance, the recorded compiler command lines, a
-// SHA-256 checksum, a signed metadata document, and a relocation table of
-// every occurrence of the source store root and dependency prefixes. Pull
-// verifies the checksum, rewrites prefixes and rpaths through the shared
-// relocate engine, and installs into the target store through the
+// deterministic relocatable archive — a manifest of files, the recorded
+// compiler command lines, and a relocation table of every occurrence of
+// the source store root and dependency prefixes — beside a SHA-256
+// checksum and a signed metadata document carrying the full concrete spec
+// as provenance. Pull verifies the checksum, rewrites prefixes and rpaths
+// through the shared relocate engine, and installs into the target store through the
 // store.Index seam with the same singleflight/promotion discipline as a
 // real build — so build.Builder can skip fetch/stage/compile for any DAG
 // node whose full hash is already cached, the way Spack's buildcaches do.
@@ -143,18 +143,14 @@ func (c *Cache) Has(hash string) bool {
 	return ok && err == nil
 }
 
-// meta fetches the metadata document for a hash; absent is (nil, nil) —
-// pre-metadata archives have none, and the signature scheme falls back
-// to covering the bare checksum.
-func (c *Cache) meta(hash string) ([]byte, error) {
-	data, ok, err := c.be.Get(metaName(hash))
-	if err != nil {
-		return nil, err
+// recordedSum reads an archive's checksum record; ok is false when the
+// backend has none.
+func (c *Cache) recordedSum(hash string) (sum string, ok bool, err error) {
+	data, ok, err := c.be.Get(checksumName(hash))
+	if err != nil || !ok {
+		return "", false, err
 	}
-	if !ok {
-		return nil, nil
-	}
-	return data, nil
+	return strings.TrimSpace(string(data)), true, nil
 }
 
 // Verify checks that an archive for a full spec hash exists on the
@@ -162,85 +158,56 @@ func (c *Cache) meta(hash string) ([]byte, error) {
 // scheduler's gate before a lease completion unlocks dependents, so a
 // worker cannot claim success for an archive it never pushed (or pushed
 // torn). Backends that record digests at write time (Summer) answer
-// without moving the archive; others pay one Get and a re-hash.
+// without moving the archive; others pay one Get and a re-hash. The
+// metadata and signature checks are the read path's (see open).
 func (c *Cache) Verify(hash string) error {
 	fail := func(kind Kind, err error) error {
 		return &Error{Op: "verify", Spec: hash, Kind: kind, Err: err}
 	}
-	sumData, ok, err := c.be.Get(checksumName(hash))
+	want, ok, err := c.recordedSum(hash)
 	if err != nil {
 		return fail(KindIO, err)
 	}
 	if !ok {
 		return fail(KindMissing, fmt.Errorf("no checksum record"))
 	}
-	want := strings.TrimSpace(string(sumData))
 	var got string
-	if s, ok := c.be.(Summer); ok {
-		sum, exists, err := s.Sum(archiveName(hash))
-		if err != nil {
-			return fail(KindIO, err)
-		}
-		if !exists {
-			return fail(KindMissing, fmt.Errorf("checksum record without archive"))
-		}
-		got = sum
+	exists := false
+	if s, isSummer := c.be.(Summer); isSummer {
+		got, exists, err = s.Sum(archiveName(hash))
 	} else {
-		payload, exists, err := c.be.Get(archiveName(hash))
-		if err != nil {
-			return fail(KindIO, err)
+		var payload []byte
+		if payload, exists, err = c.be.Get(archiveName(hash)); exists {
+			got = checksumOf(payload)
 		}
-		if !exists {
-			return fail(KindMissing, fmt.Errorf("checksum record without archive"))
-		}
-		got = checksumOf(payload)
+	}
+	if err != nil {
+		return fail(KindIO, err)
+	}
+	if !exists {
+		return fail(KindMissing, fmt.Errorf("checksum record without archive"))
 	}
 	if got != want {
 		return fail(KindChecksum, fmt.Errorf("archive sha256 %s does not match recorded %s", got, want))
 	}
 	// Trust gate: under TrustEnforce an unsigned or untrusted archive
 	// fails verification outright — the daemon's proof-of-work check
-	// inherits the signature requirement through this path. The metadata
-	// document rides into the signed message, so tampered provenance
-	// fails here too.
-	metaBytes, err := c.meta(hash)
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	if _, err := c.checkSignature("verify", hash, hash, want, metaBytes); err != nil {
-		return err
-	}
-	return nil
+	// inherits the signature requirement through this path.
+	_, _, err = c.checkSignature("verify", hash, hash, want)
+	return err
 }
 
-// RelocFiles converts the packed payload to the relocate engine's file
-// form, ready for relocate.Materialize.
-func (a *Archive) RelocFiles() []relocate.File {
-	out := make([]relocate.File, len(a.Files))
-	for i, f := range a.Files {
-		out[i] = relocate.File{Path: f.Path, Symlink: f.Symlink, Data: f.Data}
-	}
-	return out
-}
-
-// WantCounts returns the recorded relocation table keyed by file path —
-// the per-file occurrence counts Materialize re-verifies while rewriting.
-func (a *Archive) WantCounts() map[string]map[string]int {
-	out := make(map[string]map[string]int, len(a.Relocations))
-	for _, r := range a.Relocations {
-		out[r.Path] = r.Occurrences
-	}
-	return out
-}
-
-// Fetch retrieves, checksums, and trust-checks the archive for a full
-// spec hash without installing it — the splice executor re-materializes
-// cone prefixes from cached payloads through this path. The returned
-// warning carries a non-blocking trust complaint (TrustWarn), mirroring
-// Pull. KindMissing when the backend has no archive for the hash.
-func (c *Cache) Fetch(hash string) (*Archive, string, error) {
-	fail := func(kind Kind, err error) (*Archive, string, error) {
-		return nil, "", &Error{Op: "fetch", Spec: hash, Kind: kind, Err: err}
+// open is the one verified read of a cached archive, shared by Fetch,
+// Pull and so splice: it fetches the archive and its checksum record and
+// compares them, reads the metadata document and judges the signature
+// over both (before any archive byte is trusted), then decodes the
+// manifest and checks its format, its full hash and its file paths. It
+// returns the archive, the metadata bytes, and a non-blocking trust
+// complaint (TrustWarn). KindMissing when the backend has no archive for
+// the hash.
+func (c *Cache) open(op, spc, hash string) (*Archive, []byte, string, error) {
+	fail := func(kind Kind, err error) (*Archive, []byte, string, error) {
+		return nil, nil, "", &Error{Op: op, Spec: spc, Kind: kind, Err: err}
 	}
 	payload, ok, err := c.be.Get(archiveName(hash))
 	if err != nil {
@@ -249,24 +216,19 @@ func (c *Cache) Fetch(hash string) (*Archive, string, error) {
 	if !ok {
 		return fail(KindMissing, fmt.Errorf("no archive for hash %s", hash))
 	}
-	sumData, ok, err := c.be.Get(checksumName(hash))
+	want, ok, err := c.recordedSum(hash)
 	if err != nil {
 		return fail(KindIO, err)
 	}
 	if !ok {
 		return fail(KindChecksum, fmt.Errorf("archive has no checksum"))
 	}
-	want := strings.TrimSpace(string(sumData))
 	if got := checksumOf(payload); got != want {
 		return fail(KindChecksum, fmt.Errorf("archive checksum %s does not match recorded %s", got[:12], want))
 	}
-	metaBytes, err := c.meta(hash)
+	metaBytes, warning, err := c.checkSignature(op, spc, hash, want)
 	if err != nil {
-		return fail(KindIO, err)
-	}
-	warning, err := c.checkSignature("fetch", hash, hash, want, metaBytes)
-	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
 	var ar Archive
 	if err := json.Unmarshal(payload, &ar); err != nil {
@@ -278,7 +240,20 @@ func (c *Cache) Fetch(hash string) (*Archive, string, error) {
 	if ar.FullHash != hash {
 		return fail(KindManifest, fmt.Errorf("archive is for hash %s, want %s", ar.FullHash, hash))
 	}
-	return &ar, warning, nil
+	if err := ar.checkPaths(); err != nil {
+		return fail(KindManifest, err)
+	}
+	return &ar, metaBytes, warning, nil
+}
+
+// Fetch retrieves and verifies the archive for a full spec hash without
+// installing it — the splice executor re-materializes cone prefixes from
+// cached payloads through this path, so a splice reads an archive
+// exactly as a pull does. The returned warning carries a non-blocking
+// trust complaint (TrustWarn), mirroring Pull.
+func (c *Cache) Fetch(hash string) (*Archive, string, error) {
+	ar, _, warning, err := c.open("fetch", hash, hash)
+	return ar, warning, err
 }
 
 // Push packs the installed prefix of a concrete spec into a relocatable
@@ -311,7 +286,6 @@ func (c *Cache) Push(st *store.Store, s *spec.Spec) (*Entry, error) {
 	if err != nil {
 		return fail(KindManifest, err)
 	}
-	ar.SpecJSON = specJSON
 
 	// Dependency prefixes, resolved from the source store — the
 	// relocation sources alongside the store root and the own prefix.
@@ -337,16 +311,14 @@ func (c *Cache) Push(st *store.Store, s *spec.Spec) (*Entry, error) {
 	table := relocate.Identity(sources...) // no rewriting: we only want counts
 
 	// Pack the prefix tree and record the relocation table.
-	files, err := relocate.Snapshot(st.FS, rec.Prefix)
+	ar.Files, err = relocate.Snapshot(st.FS, rec.Prefix)
 	if err != nil {
 		return fail(KindIO, err)
 	}
-	for _, f := range files {
+	for _, f := range ar.Files {
 		if f.Symlink != "" {
-			ar.Files = append(ar.Files, archiveFile{Path: f.Path, Symlink: f.Symlink})
 			continue
 		}
-		ar.Files = append(ar.Files, archiveFile{Path: f.Path, Data: f.Data})
 		if _, counts := table.Rewrite(f.Data); len(counts) > 0 {
 			ar.Relocations = append(ar.Relocations, archiveReloc{Path: f.Path, Occurrences: counts})
 		}
@@ -453,8 +425,8 @@ func (c *Cache) Pull(st *store.Store, s *spec.Spec, explicit bool) (*PullResult,
 // (nil behaves like Pull): environments pull many archives under one
 // transaction so the whole delta commits or rolls back together.
 func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool) (*PullResult, error) {
-	fail := func(kind Kind, err error) (*PullResult, error) {
-		return nil, &Error{Op: "pull", Spec: s.String(), Kind: kind, Err: err}
+	fail := func(kind Kind, err error) error {
+		return &Error{Op: "pull", Spec: s.String(), Kind: kind, Err: err}
 	}
 	// Reuse fast path: already installed — nothing to verify or unpack.
 	if rec, ok := st.Lookup(s); ok {
@@ -465,45 +437,12 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 	}
 
 	hash := s.FullHash()
-	payload, ok, err := c.be.Get(archiveName(hash))
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	if !ok {
-		return fail(KindMissing, fmt.Errorf("no archive for hash %s", hash))
-	}
-	sumData, ok, err := c.be.Get(checksumName(hash))
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	if !ok {
-		return fail(KindChecksum, fmt.Errorf("archive has no checksum"))
-	}
-	want := strings.TrimSpace(string(sumData))
-	if got := checksumOf(payload); got != want {
-		return fail(KindChecksum, fmt.Errorf("archive checksum %s does not match recorded %s", got[:12], want))
-	}
-	// Trust gate: judge the detached signature (over the checksum and the
-	// metadata digest) before any archive byte is trusted. Enforce
-	// rejects; warn records the complaint on the result and proceeds.
-	metaBytes, err := c.meta(hash)
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	warning, err := c.checkSignature("pull", s.String(), hash, want, metaBytes)
+	ar, metaBytes, warning, err := c.open("pull", s.String(), hash)
 	if err != nil {
 		return nil, err
 	}
-
-	var ar Archive
-	if err := json.Unmarshal(payload, &ar); err != nil {
-		return fail(KindManifest, fmt.Errorf("corrupt archive: %w", err))
-	}
-	if ar.Format != archiveFormatVersion {
-		return fail(KindManifest, fmt.Errorf("archive format %d not supported", ar.Format))
-	}
-	if ar.FullHash != hash || ar.Package != s.Name {
-		return fail(KindManifest, fmt.Errorf("archive is for %s/%s, want %s/%s",
+	if ar.Package != s.Name {
+		return nil, fail(KindManifest, fmt.Errorf("archive is for %s/%s, want %s/%s",
 			ar.Package, ar.FullHash, s.Name, hash))
 	}
 	// Splice provenance rides the metadata document into the installed
@@ -517,45 +456,29 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 		}
 	}
 
-	// Build the relocation mapping: source store root, own prefix, and
-	// every dependency prefix map to their locations in the target store.
+	// Relocate into the target store: every dependency prefix the archive
+	// names must be a node of the spec DAG, installed here (or external).
 	byName := make(map[string]*spec.Spec)
 	for _, dn := range s.TopoOrder() {
 		byName[dn.Name] = dn
 	}
-	pairs := map[string]string{
-		ar.Prefix:    st.Prefix(s),
-		ar.StoreRoot: st.Root,
-	}
-	for depName, srcPrefix := range ar.DepPrefixes {
+	opts, err := ar.Relocation(st.Prefix(s), st.Root, func(depName string) (string, error) {
 		dn, ok := byName[depName]
 		if !ok {
-			return fail(KindManifest, fmt.Errorf("archive names dependency %s absent from the spec DAG", depName))
+			return "", fail(KindManifest, fmt.Errorf("archive names dependency %s absent from the spec DAG", depName))
 		}
 		if dn.External {
-			pairs[srcPrefix] = dn.Path
-			continue
+			return dn.Path, nil
 		}
 		drec, ok := st.Lookup(dn)
 		if !ok {
-			return fail(KindDeps, fmt.Errorf("dependency %s is not installed in the target store", depName))
+			return "", fail(KindDeps, fmt.Errorf("dependency %s is not installed in the target store", depName))
 		}
-		pairs[srcPrefix] = drec.Prefix
+		return drec.Prefix, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wantCounts := ar.WantCounts()
-	// Rpath sanity: after rewriting, no embedded rpath may still point
-	// into the source store (the isolation §3.5.2 bought).
-	forbid := ""
-	if ar.StoreRoot != st.Root {
-		forbid = ar.StoreRoot
-	}
-	opts := relocate.Options{
-		Table:      relocate.NewTable(pairs),
-		Want:       wantCounts,
-		ForbidRoot: forbid,
-	}
-
-	relFiles := ar.RelocFiles()
 
 	// Unpack through the store's install discipline, charging a private
 	// meter so the report's virtual time reflects the cached fast path.
@@ -564,14 +487,14 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 	prefixFS := st.FS.WithMeter(meter)
 	files := 0
 	rec, ran, err := st.InstallTxn(t, s, meta, func(prefix string) error {
-		n, err := relocate.Materialize(prefixFS, prefix, relFiles, opts)
+		n, err := relocate.Materialize(prefixFS, prefix, ar.Files, opts)
 		files = n
 		if err != nil {
 			kind := KindIO
 			if relocate.IsRelocationError(err) {
 				kind = KindRelocation
 			}
-			return &Error{Op: "pull", Spec: s.String(), Kind: kind, Err: err}
+			return fail(kind, err)
 		}
 		return nil
 	})
@@ -581,7 +504,7 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 		if ErrorKind(err) != "" {
 			return nil, err
 		}
-		return fail(KindIO, err)
+		return nil, fail(KindIO, err)
 	}
 	return &PullResult{Record: rec, Ran: ran, Time: meter.Cost(), Files: files, Warning: warning}, nil
 }

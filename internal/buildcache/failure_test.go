@@ -1,6 +1,8 @@
 package buildcache_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -16,7 +18,7 @@ import (
 // pushedMirror builds expr from source and pushes its DAG onto a mirror
 // the test can tamper with (blob names are build_cache/<hash>.spack.json
 // and build_cache/<hash>.sha256).
-func pushedMirror(t *testing.T, expr string) (*fetch.Mirror, *buildcache.Cache, *spec.Spec) {
+func pushedMirror(t testing.TB, expr string) (*fetch.Mirror, *buildcache.Cache, *spec.Spec) {
 	t.Helper()
 	b, st, c := newEnv(t, "/spack/opt")
 	concrete := concretizeExpr(t, c, expr)
@@ -33,6 +35,12 @@ func pushedMirror(t *testing.T, expr string) (*fetch.Mirror, *buildcache.Cache, 
 
 func archiveBlob(hash string) string  { return "build_cache/" + hash + ".spack.json" }
 func checksumBlob(hash string) string { return "build_cache/" + hash + ".sha256" }
+
+// sha256Hex is the checksum record's form: hex SHA-256 of archive bytes.
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
 
 func TestPullCorruptArchiveIsChecksumFailure(t *testing.T) {
 	mirror, cache, concrete := pushedMirror(t, "libelf")
@@ -62,7 +70,7 @@ func TestPullTruncatedManifest(t *testing.T) {
 	mirror.PutBlob(archiveBlob(hash), truncated)
 	// Re-record the checksum over the truncated bytes so integrity passes
 	// and the parse itself has to catch the damage.
-	mirror.PutBlob(checksumBlob(hash), []byte(buildcache.ChecksumOf(truncated)+"\n"))
+	mirror.PutBlob(checksumBlob(hash), []byte(sha256Hex(truncated)+"\n"))
 
 	_, stB, _ := newEnv(t, "/site/store")
 	_, err := cache.Pull(stB, concrete, true)
@@ -90,7 +98,7 @@ func TestPullTamperedRelocationTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	mirror.PutBlob(archiveBlob(hash), tampered)
-	mirror.PutBlob(checksumBlob(hash), []byte(buildcache.ChecksumOf(tampered)+"\n"))
+	mirror.PutBlob(checksumBlob(hash), []byte(sha256Hex(tampered)+"\n"))
 
 	_, stB, _ := newEnv(t, "/site/store")
 	_, err = cache.Pull(stB, concrete, true)
@@ -203,4 +211,188 @@ func TestErrorStringAndKind(t *testing.T) {
 	if buildcache.ErrorKind(nil) != "" {
 		t.Error("ErrorKind(nil) should be empty")
 	}
+}
+
+// rewriteArchive decodes the archive stored under hash as generic JSON,
+// lets edit change it, and stores the re-encoded bytes with a re-recorded
+// checksum, so integrity passes and only the manifest checks can catch
+// the edit.
+func rewriteArchive(t *testing.T, mirror *fetch.Mirror, hash string, edit func(ar map[string]any)) {
+	t.Helper()
+	payload, ok := mirror.Blob(archiveBlob(hash))
+	if !ok {
+		t.Fatal("archive blob missing")
+	}
+	var ar map[string]any
+	if err := json.Unmarshal(payload, &ar); err != nil {
+		t.Fatal(err)
+	}
+	edit(ar)
+	data, err := json.MarshalIndent(ar, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror.PutBlob(archiveBlob(hash), data)
+	mirror.PutBlob(checksumBlob(hash), []byte(sha256Hex(data)+"\n"))
+}
+
+// plainBackend hides a backend's Summer refinement, so Verify takes its
+// Get-and-rehash branch.
+type plainBackend struct{ buildcache.Backend }
+
+// TestCorruptionTable runs every damaged-archive case through each
+// reader of the cache. Pull and Fetch share one verified open, so they
+// agree on every case; Verify checks integrity and trust only (it never
+// decodes the manifest), and reports an absent checksum record as a miss.
+func TestCorruptionTable(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, m *fetch.Mirror, elf, dwarf string)
+		policy buildcache.TrustPolicy
+		pull   buildcache.Kind
+		fetch  buildcache.Kind
+		verify buildcache.Kind
+	}{
+		{
+			name: "corrupt payload",
+			tamper: func(t *testing.T, m *fetch.Mirror, elf, _ string) {
+				payload, _ := m.Blob(archiveBlob(elf))
+				payload[len(payload)/2] ^= 0xff
+				m.PutBlob(archiveBlob(elf), payload)
+			},
+			pull: buildcache.KindChecksum, fetch: buildcache.KindChecksum, verify: buildcache.KindChecksum,
+		},
+		{
+			name: "truncated manifest",
+			tamper: func(t *testing.T, m *fetch.Mirror, elf, _ string) {
+				payload, _ := m.Blob(archiveBlob(elf))
+				truncated := payload[:len(payload)/3]
+				m.PutBlob(archiveBlob(elf), truncated)
+				m.PutBlob(checksumBlob(elf), []byte(sha256Hex(truncated)+"\n"))
+			},
+			pull: buildcache.KindManifest, fetch: buildcache.KindManifest, verify: "",
+		},
+		{
+			name: "missing checksum record",
+			tamper: func(t *testing.T, m *fetch.Mirror, elf, _ string) {
+				m.DeleteBlob(checksumBlob(elf))
+			},
+			pull: buildcache.KindChecksum, fetch: buildcache.KindChecksum, verify: buildcache.KindMissing,
+		},
+		{
+			name: "full_hash of another archive",
+			tamper: func(t *testing.T, m *fetch.Mirror, elf, dwarf string) {
+				other, _ := m.Blob(archiveBlob(dwarf))
+				m.PutBlob(archiveBlob(elf), other)
+				m.PutBlob(checksumBlob(elf), []byte(sha256Hex(other)+"\n"))
+			},
+			pull: buildcache.KindManifest, fetch: buildcache.KindManifest, verify: "",
+		},
+		{
+			name: "unsupported format",
+			tamper: func(t *testing.T, m *fetch.Mirror, elf, _ string) {
+				rewriteArchive(t, m, elf, func(ar map[string]any) { ar["format"] = 99 })
+			},
+			pull: buildcache.KindManifest, fetch: buildcache.KindManifest, verify: "",
+		},
+		{
+			name:   "unsigned under enforce",
+			tamper: func(*testing.T, *fetch.Mirror, string, string) {},
+			policy: buildcache.TrustEnforce,
+			pull:   buildcache.KindSignature, fetch: buildcache.KindSignature, verify: buildcache.KindSignature,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mirror, _, dwarf := pushedMirror(t, "libdwarf")
+			elfNode := dwarf.Dep("libelf")
+			elf := elfNode.FullHash()
+			tc.tamper(t, mirror, elf, dwarf.FullHash())
+			be := buildcache.NewMirrorBackend(mirror)
+			cache := buildcache.New(be)
+			cache.Policy = tc.policy
+			plain := buildcache.New(plainBackend{be})
+			plain.Policy = tc.policy
+
+			_, stB, _ := newEnv(t, "/site/store")
+			_, err := cache.Pull(stB, elfNode, true)
+			if kind := buildcache.ErrorKind(err); kind != tc.pull || err == nil {
+				t.Errorf("Pull: kind %q (%v), want %q", kind, err, tc.pull)
+			}
+			if stB.Len() != 0 {
+				t.Errorf("failed pull left %d records", stB.Len())
+			}
+			if _, _, err := cache.Fetch(elf); buildcache.ErrorKind(err) != tc.fetch || err == nil {
+				t.Errorf("Fetch: kind %q (%v), want %q", buildcache.ErrorKind(err), err, tc.fetch)
+			}
+			for name, c := range map[string]*buildcache.Cache{"Verify": cache, "Verify without Summer": plain} {
+				err := c.Verify(elf)
+				if kind := buildcache.ErrorKind(err); kind != tc.verify || (err == nil) != (tc.verify == "") {
+					t.Errorf("%s: kind %q (%v), want %q", name, kind, err, tc.verify)
+				}
+			}
+		})
+	}
+}
+
+// TestPullRejectsEscapingPaths: an archive whose manifest names a path
+// outside its prefix is refused before a byte is written — for a regular
+// file and for a symlink entry — and nothing lands outside the target
+// store.
+func TestPullRejectsEscapingPaths(t *testing.T) {
+	escape := "../../../../../../escaped-by-archive"
+	cases := map[string]map[string]any{
+		"regular file":  {"path": escape, "data": []byte("payload")},
+		"symlink entry": {"path": escape, "symlink": "/etc/passwd"},
+		"absolute path": {"path": "/escaped-by-archive", "data": []byte("payload")},
+		"unclean path":  {"path": "lib/../../escaped-by-archive", "data": []byte("payload")},
+		"empty path":    {"path": "", "data": []byte("payload")},
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			mirror, cache, concrete := pushedMirror(t, "libelf")
+			hash := concrete.FullHash()
+			rewriteArchive(t, mirror, hash, func(ar map[string]any) {
+				ar["files"].([]any)[0] = bad
+			})
+
+			fs := simfs.New(simfs.TempFS)
+			stB, err := store.New(fs, "/site/store", store.SpackLayout{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := treePaths(t, fs)
+			_, err = cache.Pull(stB, concrete, true)
+			if kind := buildcache.ErrorKind(err); kind != buildcache.KindManifest {
+				t.Errorf("Pull: kind %q (%v), want %q", kind, err, buildcache.KindManifest)
+			}
+			if _, _, err := cache.Fetch(hash); buildcache.ErrorKind(err) != buildcache.KindManifest {
+				t.Errorf("Fetch: %v, want a manifest error", err)
+			}
+			for p := range treePaths(t, fs) {
+				if !before[p] && !strings.HasPrefix(p, stB.Root+"/") {
+					t.Errorf("pull wrote %s outside the target store", p)
+				}
+			}
+			if exists, _ := fs.Stat("/escaped-by-archive"); exists {
+				t.Error("/escaped-by-archive was written")
+			}
+			if stB.Len() != 0 {
+				t.Errorf("rejected pull left %d records", stB.Len())
+			}
+		})
+	}
+}
+
+// treePaths lists every file and symlink on fs.
+func treePaths(t testing.TB, fs *simfs.FS) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	if err := fs.Walk("/", func(p string, _ bool) error {
+		out[p] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

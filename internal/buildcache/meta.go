@@ -21,8 +21,10 @@ type Metadata struct {
 	Version  string `json:"version"`
 	FullHash string `json:"full_hash"`
 	Spec     string `json:"spec"`
-	// SpecJSON preserves the exact DAG edge structure, the same rendering
-	// the archive embeds.
+	// SpecJSON preserves the exact DAG edge structure, so the hash
+	// survives the round trip. It is the only copy: the archive payload
+	// carries the flat spec string alone, and ReuseCandidates reads the
+	// DAG from here.
 	SpecJSON json.RawMessage `json:"spec_json"`
 	// ArchiveSHA256 binds this document to one archive payload.
 	ArchiveSHA256 string `json:"archive_sha256"`

@@ -3,7 +3,6 @@ package buildcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sort"
 	"strings"
 
@@ -11,10 +10,12 @@ import (
 	"repro/internal/syntax"
 )
 
-// ReuseCandidates returns the concrete spec embedded in every cached
-// archive, keyed by full DAG hash — the buildcache's half of the
-// concretizer's ReuseSource seam. Undecodable archives are skipped: a
-// cache is an optimization, never a source of truth.
+// ReuseCandidates returns the concrete spec recorded in every cached
+// archive's metadata document, keyed by full DAG hash — the buildcache's
+// half of the concretizer's ReuseSource seam. Only the small <hash>.meta
+// documents are read. A document that does not decode, or whose DAG does
+// not hash to the name it is stored under (torn or edited spec_json), is
+// skipped: a cache is an optimization, never a source of truth.
 func (c *Cache) ReuseCandidates() (map[string]*spec.Spec, error) {
 	names, err := c.be.List()
 	if err != nil {
@@ -22,23 +23,20 @@ func (c *Cache) ReuseCandidates() (map[string]*spec.Spec, error) {
 	}
 	out := make(map[string]*spec.Spec)
 	for _, name := range names {
-		hash, ok := strings.CutSuffix(name, ".spack.json")
+		hash, ok := strings.CutSuffix(name, ".meta")
 		if !ok {
 			continue
 		}
-		payload, ok, err := c.be.Get(name)
+		data, ok, err := c.be.Get(name)
 		if err != nil || !ok {
 			continue
 		}
-		var ar Archive
-		if err := json.Unmarshal(payload, &ar); err != nil {
-			continue
-		}
-		if len(ar.SpecJSON) == 0 || ar.FullHash != hash {
-			continue
-		}
-		s, err := syntax.DecodeJSON(ar.SpecJSON)
+		md, err := DecodeMetadata(data)
 		if err != nil {
+			continue
+		}
+		s, err := syntax.DecodeJSON(md.SpecJSON)
+		if err != nil || s.FullHash() != hash {
 			continue
 		}
 		out[hash] = s

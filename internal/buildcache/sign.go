@@ -89,19 +89,28 @@ func ParseTrustPolicy(s string) (TrustPolicy, error) {
 	return TrustOff, fmt.Errorf("buildcache: unknown trust policy %q (want off, warn, or enforce)", s)
 }
 
-// checkSignature fetches and judges the detached signature for an
-// archive under the cache's policy. The signed message covers the
-// checksum and, when a metadata document rides with the archive, its
-// digest — so tampered provenance fails exactly like tampered bytes. It
-// returns a warning string under TrustWarn and an *Error (KindSignature)
-// under TrustEnforce; with TrustOff it is free.
-func (c *Cache) checkSignature(op, spc, hash, checksum string, metaBytes []byte) (string, error) {
+// checkSignature reads the metadata document for an archive and judges
+// its detached signature under the cache's policy. The signed message
+// covers the checksum and, when a metadata document rides with the
+// archive, its digest — so tampered provenance fails exactly like
+// tampered bytes. It returns the metadata bytes (nil when absent:
+// pre-metadata archives have none), a warning string under TrustWarn, and
+// an *Error (KindSignature) under TrustEnforce; with TrustOff the
+// signature is not read.
+func (c *Cache) checkSignature(op, spc, hash, checksum string) ([]byte, string, error) {
+	metaBytes, ok, err := c.be.Get(metaName(hash))
+	if err != nil {
+		return nil, "", &Error{Op: op, Spec: spc, Kind: KindIO, Err: err}
+	}
+	if !ok {
+		metaBytes = nil
+	}
 	if c.Policy == TrustOff {
-		return "", nil
+		return metaBytes, "", nil
 	}
 	sigData, ok, err := c.be.Get(sigName(hash))
 	if err != nil {
-		return "", &Error{Op: op, Spec: spc, Kind: KindIO, Err: err}
+		return nil, "", &Error{Op: op, Spec: spc, Kind: KindIO, Err: err}
 	}
 	var verr error
 	switch {
@@ -113,10 +122,10 @@ func (c *Cache) checkSignature(op, spc, hash, checksum string, metaBytes []byte)
 		verr = c.Verifier.VerifySignature(SignedMessage(checksum, metaBytes), sigData)
 	}
 	if verr == nil {
-		return "", nil
+		return metaBytes, "", nil
 	}
 	if c.Policy == TrustEnforce {
-		return "", &Error{Op: op, Spec: spc, Kind: KindSignature, Err: verr}
+		return nil, "", &Error{Op: op, Spec: spc, Kind: KindSignature, Err: verr}
 	}
-	return fmt.Sprintf("signature: %v", verr), nil
+	return metaBytes, fmt.Sprintf("signature: %v", verr), nil
 }

@@ -86,6 +86,8 @@ func (t Toolchain) String() string {
 type Registry struct {
 	mu         sync.RWMutex
 	toolchains []Toolchain
+	// fp caches Fingerprint until the next Add; empty means not computed.
+	fp string
 }
 
 // NewRegistry returns an empty registry.
@@ -95,6 +97,7 @@ func NewRegistry() *Registry { return &Registry{} }
 func (r *Registry) Add(t Toolchain) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.fp = ""
 	i := sort.Search(len(r.toolchains), func(i int) bool {
 		u := r.toolchains[i]
 		return u.Name > t.Name || u.Name == t.Name && u.Version.Compare(t.Version) <= 0
@@ -151,15 +154,27 @@ func (r *Registry) Default(arch string) (Toolchain, bool) {
 // Fingerprint returns a stable hash over every registered toolchain —
 // name, version, targets, and features — the compiler-registry component of
 // the concretizer's memo-cache key: registering or replacing a toolchain
-// invalidates cached concretization results automatically.
+// invalidates cached concretization results automatically. It is computed
+// once per registry change and kept until the next Add.
 func (r *Registry) Fingerprint() string {
-	var b strings.Builder
-	for _, t := range r.All() {
-		fmt.Fprintf(&b, "%s@%s targets=%s features=%s\n",
-			t.Name, t.Version, strings.Join(t.Targets, ","), strings.Join(t.Features, ","))
+	r.mu.RLock()
+	fp := r.fp
+	r.mu.RUnlock()
+	if fp != "" {
+		return fp
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.fp == "" {
+		var b strings.Builder
+		for _, t := range r.toolchains {
+			fmt.Fprintf(&b, "%s@%s targets=%s features=%s\n",
+				t.Name, t.Version, strings.Join(t.Targets, ","), strings.Join(t.Features, ","))
+		}
+		sum := sha256.Sum256([]byte(b.String()))
+		r.fp = hex.EncodeToString(sum[:])
+	}
+	return r.fp
 }
 
 // Len reports the number of registered toolchains.

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/spec"
@@ -167,5 +169,65 @@ func TestLLNLRegistryComplete(t *testing.T) {
 			len(r.Find(spec.Compiler{Name: want}, "cray-xe6")) == 0 {
 			t.Errorf("LLNL registry missing %s", want)
 		}
+	}
+}
+
+// TestFingerprintFollowsAdd: the kept fingerprint changes on every Add
+// that changes the registry, stays put otherwise, and always equals what
+// a fresh registry with the same toolchains computes.
+func TestFingerprintFollowsAdd(t *testing.T) {
+	fresh := func(ts ...Toolchain) string {
+		r := NewRegistry()
+		for _, tc := range ts {
+			r.Add(tc)
+		}
+		return r.Fingerprint()
+	}
+	gcc := Toolchain{Name: "gcc", Version: version.Parse("4.9.2"), Features: []string{"c99"}}
+	r := NewRegistry()
+	empty := r.Fingerprint()
+	r.Add(gcc)
+	one := r.Fingerprint()
+	if one == empty {
+		t.Error("adding a toolchain left the fingerprint unchanged")
+	}
+	if r.Fingerprint() != one || one != fresh(gcc) {
+		t.Error("fingerprint not stable between changes")
+	}
+	gcc11 := gcc
+	gcc11.Features = []string{"c99", "cxx11"}
+	r.Add(gcc11) // replaces gcc@4.9.2
+	if got := r.Fingerprint(); got == one || got != fresh(gcc11) {
+		t.Errorf("replacing Add: fingerprint %s, was %s, want %s", got, one, fresh(gcc11))
+	}
+	clang := Toolchain{Name: "clang", Version: version.Parse("3.5")}
+	r.Add(clang)
+	if got := r.Fingerprint(); got != fresh(gcc11, clang) {
+		t.Errorf("after a new toolchain: fingerprint %s, want %s", got, fresh(gcc11, clang))
+	}
+}
+
+func TestFingerprintConcurrentAdd(t *testing.T) {
+	r := LLNLRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if w%2 == 0 {
+					r.Add(Toolchain{Name: "gcc", Version: version.Parse(fmt.Sprintf("9.%d.%d", w, i))})
+				}
+				_ = r.Fingerprint()
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := NewRegistry()
+	for _, tc := range r.All() {
+		want.Add(tc)
+	}
+	if r.Fingerprint() != want.Fingerprint() {
+		t.Error("fingerprint after concurrent adds does not match the final registry")
 	}
 }

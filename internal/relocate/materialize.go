@@ -10,11 +10,12 @@ import (
 )
 
 // File is one file or symlink of a prefix tree being relocated. Path is
-// relative to the prefix root.
+// relative to the prefix root. The JSON form is the buildcache archive's
+// manifest entry.
 type File struct {
-	Path    string
-	Symlink string
-	Data    []byte
+	Path    string `json:"path"`
+	Symlink string `json:"symlink,omitempty"`
+	Data    []byte `json:"data,omitempty"`
 }
 
 // CountError reports a file whose re-counted occurrences disagree with

@@ -36,11 +36,15 @@ type Rule struct {
 type Table []Rule
 
 // NewTable builds a Table from source→target pairs, ordered longest
-// source first (ties break lexicographically for determinism).
+// source first (ties break lexicographically for determinism). An empty
+// source is dropped: it would match at every offset and Rewrite would
+// never advance.
 func NewTable(pairs map[string]string) Table {
 	out := make(Table, 0, len(pairs))
 	for from, to := range pairs {
-		out = append(out, Rule{From: from, To: to})
+		if from != "" {
+			out = append(out, Rule{From: from, To: to})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i].From) != len(out[j].From) {

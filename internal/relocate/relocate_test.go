@@ -279,3 +279,17 @@ func TestMaterializeRejectsLeakedRPaths(t *testing.T) {
 		t.Fatalf("Materialize = %v, want *RPathError", err)
 	}
 }
+
+// TestNewTableDropsEmptySource: an empty source path (say, a hostile
+// archive recording an empty prefix) would match at every offset; the
+// table drops it so Rewrite still advances and terminates.
+func TestNewTableDropsEmptySource(t *testing.T) {
+	table := NewTable(map[string]string{"": "/x", "/a": "/b"})
+	if len(table) != 1 {
+		t.Fatalf("table = %v, want only the /a rule", table)
+	}
+	out, counts := table.Rewrite([]byte("/a/c"))
+	if string(out) != "/b/c" || counts["/a"] != 1 || len(counts) != 1 {
+		t.Errorf("Rewrite = %q %v", out, counts)
+	}
+}

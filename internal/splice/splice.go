@@ -307,58 +307,33 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 // prefix snapshot is the universal fallback and Materialize verifies
 // whatever table is chosen.
 func (sp *Splicer) payload(ch *NodeChange, newByName map[string]*spec.Spec, localPairs map[string]string) ([]relocate.File, relocate.Options, bool, string) {
+	warn := ""
 	if ch.FromArchive {
-		ar, warn, err := sp.Cache.Fetch(ch.OldHash)
+		ar, fetchWarn, err := sp.Cache.Fetch(ch.OldHash)
 		if err == nil {
-			pairs := map[string]string{
-				ar.Prefix:    ch.NewPrefix,
-				ar.StoreRoot: sp.Store.Root,
-			}
-			ok := true
-			for depName, srcPrefix := range ar.DepPrefixes {
-				dst, found := sp.depPrefix(depName, newByName)
-				if !found {
-					ok = false
-					break
+			var opts relocate.Options
+			opts, err = ar.Relocation(ch.NewPrefix, sp.Store.Root, func(depName string) (string, error) {
+				if dst, found := sp.depPrefix(depName, newByName); found {
+					return dst, nil
 				}
-				pairs[srcPrefix] = dst
+				return "", fmt.Errorf("archive names dependency %s absent from the spliced DAG", depName)
+			})
+			if err == nil {
+				return ar.Files, opts, true, fetchWarn
 			}
-			if ok {
-				forbid := ""
-				if ar.StoreRoot != sp.Store.Root {
-					forbid = ar.StoreRoot
-				}
-				return ar.RelocFiles(), relocate.Options{
-					Table:      relocate.NewTable(pairs),
-					Want:       ar.WantCounts(),
-					ForbidRoot: forbid,
-				}, true, warn
-			}
-			err = fmt.Errorf("archive names a dependency absent from the spliced DAG")
 		}
 		warn = fmt.Sprintf("splice %s: archive unusable, re-materializing from installed prefix: %v", ch.Name, err)
-		files, opts, snapErr := sp.snapshotPayload(ch, localPairs)
-		if snapErr != nil {
-			// Surface the snapshot failure through Materialize: an empty
-			// file set with an impossible Want entry fails verification.
-			return nil, relocate.Options{Want: map[string]map[string]int{"": {ch.OldPrefix: 1}}}, false, warn
-		}
-		return files, opts, false, warn
 	}
-	files, opts, err := sp.snapshotPayload(ch, localPairs)
-	if err != nil {
-		return nil, relocate.Options{Want: map[string]map[string]int{"": {ch.OldPrefix: 1}}}, false,
-			fmt.Sprintf("splice %s: snapshot failed: %v", ch.Name, err)
-	}
-	return files, opts, false, ""
-}
-
-func (sp *Splicer) snapshotPayload(ch *NodeChange, localPairs map[string]string) ([]relocate.File, relocate.Options, error) {
 	files, err := relocate.Snapshot(sp.Store.FS, ch.OldPrefix)
 	if err != nil {
-		return nil, relocate.Options{}, err
+		if warn == "" {
+			warn = fmt.Sprintf("splice %s: snapshot failed: %v", ch.Name, err)
+		}
+		// Surface the snapshot failure through Materialize: an empty file
+		// set with an impossible Want entry fails verification.
+		return nil, relocate.Options{Want: map[string]map[string]int{"": {ch.OldPrefix: 1}}}, false, warn
 	}
-	return files, relocate.Options{Table: relocate.NewTable(localPairs)}, nil
+	return files, relocate.Options{Table: relocate.NewTable(localPairs)}, false, warn
 }
 
 // depPrefix resolves an old-DAG dependency name to its prefix in the

@@ -1,6 +1,8 @@
 package splice_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -380,5 +382,53 @@ func TestSpliceErrors(t *testing.T) {
 	// Target absent from the DAG.
 	if _, err := sp.Run(root, "zlib", repl, false); err == nil {
 		t.Error("splicing an absent dependency succeeded")
+	}
+}
+
+// TestSpliceRejectsEscapingArchive: a splice reads archives through the
+// same verified open as a pull, so a manifest path that climbs out of its
+// prefix makes the archive unusable — the cone node is re-materialized
+// from its installed prefix instead, and nothing lands outside the store.
+func TestSpliceRejectsEscapingArchive(t *testing.T) {
+	m := newMachine(t, simfs.New(simfs.TempFS))
+	root := m.install(t, "libdwarf ^libelf@0.8.12")
+	if _, err := m.Cache.PushDAG(m.Store, root); err != nil {
+		t.Fatal(err)
+	}
+	hash := root.FullHash()
+	payload, ok, err := m.Backend.Get(hash + ".spack.json")
+	if err != nil || !ok {
+		t.Fatalf("archive missing: %v", err)
+	}
+	var ar map[string]any
+	if err := json.Unmarshal(payload, &ar); err != nil {
+		t.Fatal(err)
+	}
+	ar["files"].([]any)[0] = map[string]any{"path": "../../../../../../escaped-by-archive", "data": []byte("x")}
+	tampered, err := json.Marshal(ar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(tampered)
+	if err := m.Backend.Put(hash+".spack.json", tampered); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Backend.Put(hash+".sha256", []byte(hex.EncodeToString(sum[:])+"\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	repl := m.install(t, "libelf@0.8.13")
+	res, err := m.splicer().Run(root, "libelf", repl, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FromArchive != 0 || res.FromPrefix != 1 {
+		t.Errorf("result = {FromArchive:%d FromPrefix:%d}, want the prefix fallback", res.FromArchive, res.FromPrefix)
+	}
+	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "archive unusable") {
+		t.Errorf("warnings = %q, want one archive-unusable note", res.Warnings)
+	}
+	if exists, _ := m.FS.Stat("/escaped-by-archive"); exists {
+		t.Error("splice wrote /escaped-by-archive")
 	}
 }

@@ -40,19 +40,14 @@ func EncodeJSON(s *spec.Spec) ([]byte, error) {
 		External:  make(map[string]string),
 		Namespace: make(map[string]string),
 	}
-	var fail error
 	s.Traverse(func(n *spec.Spec) bool {
-		clone := n.Clone()
-		clone.Deps = nil
-		// Externals render a non-parseable suffix; strip for the node
-		// string and record separately.
-		ext := clone.External
-		path := clone.Path
-		clone.External = false
-		clone.Path = ""
-		out.Nodes[n.Name] = clone.String()
-		if ext {
-			out.External[n.Name] = path
+		// Render the node's own constraints from a node-only value: no
+		// deps, and no external suffix (externals render a non-parseable
+		// one, recorded separately below).
+		node := spec.Spec{Name: n.Name, Versions: n.Versions, Compiler: n.Compiler, Variants: n.Variants, Arch: n.Arch}
+		out.Nodes[n.Name] = node.String()
+		if n.External {
+			out.External[n.Name] = n.Path
 		}
 		if n.Namespace != "" {
 			out.Namespace[n.Name] = n.Namespace
@@ -75,9 +70,6 @@ func EncodeJSON(s *spec.Spec) ([]byte, error) {
 		}
 		return true
 	})
-	if fail != nil {
-		return nil, fail
-	}
 	return json.MarshalIndent(out, "", "  ")
 }
 

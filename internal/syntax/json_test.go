@@ -142,3 +142,70 @@ func TestEncodeJSONReadable(t *testing.T) {
 		}
 	}
 }
+
+// goldenJSON is EncodeJSON's exact output for goldenDAG, recorded before
+// node rendering stopped cloning sub-DAGs: the encoding feeds store
+// records and archive metadata, so its bytes must not drift.
+const goldenJSON = `{
+  "root": "apkg",
+  "nodes": {
+    "apkg": "apkg@3.0%gcc@4.9.2+debug~shared=linux-x86_64",
+    "bpkg": "bpkg@2.0",
+    "cpkg": "cpkg@1.0=linux-x86_64"
+  },
+  "edges": {
+    "apkg": [
+      "bpkg",
+      "cpkg"
+    ],
+    "bpkg": [
+      "cpkg"
+    ]
+  },
+  "edgetypes": {
+    "apkg": {
+      "bpkg": "build"
+    }
+  },
+  "external": {
+    "cpkg": "/opt/vendor"
+  },
+  "namespace": {
+    "apkg": "builtin",
+    "cpkg": "vendor"
+  }
+}`
+
+// goldenDAG has an external node, namespaces, variants set both ways and
+// a build-only edge.
+func goldenDAG() *spec.Spec {
+	s := buildNested()
+	s.SetVariant("shared", false)
+	s.Namespace = "builtin"
+	s.SetDepType("bpkg", spec.DepBuild)
+	c := s.Dep("cpkg")
+	c.External = true
+	c.Path = "/opt/vendor"
+	c.Namespace = "vendor"
+	c.Arch = "linux-x86_64"
+	return s
+}
+
+func TestEncodeJSONGolden(t *testing.T) {
+	data, err := EncodeJSON(goldenDAG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != goldenJSON {
+		t.Errorf("encoding drifted:\n%s\nwant:\n%s", data, goldenJSON)
+	}
+	// Rendering must not touch the encoded DAG.
+	s := goldenDAG()
+	before := s.String()
+	if _, err := EncodeJSON(s); err != nil {
+		t.Fatal(err)
+	}
+	if s.String() != before || !s.Dep("cpkg").External {
+		t.Errorf("EncodeJSON changed its input: %s", s)
+	}
+}
